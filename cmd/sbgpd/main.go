@@ -123,9 +123,16 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Release held worker long-polls and /dist/v1/events streams first:
+	// Shutdown waits for every active request to finish.
+	if coord != nil {
+		coord.Close()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	httpSrv.Shutdown(ctx)
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		log.Printf("http shutdown: %v (open connections were cut)", err)
+	}
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}

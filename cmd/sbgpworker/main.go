@@ -17,6 +17,11 @@
 // the shards the coordinator is still missing. Duplicate submissions
 // are idempotent, so the merged grid is byte-identical to a single-box
 // run no matter how many workers come and go.
+//
+// An idle worker long-polls: each ask for a job, or for a lease while
+// every pending shard is leased, lets the coordinator hold the answer
+// for up to -poll and answer the moment work appears, so -poll is the
+// longest wait per idle ask, not a delay before new work starts.
 package main
 
 import (
@@ -50,7 +55,7 @@ func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8379", "coordinator base URL")
 	id := flag.String("id", "", "worker name in lease requests (default: hostname-pid)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation parallelism per lease")
-	poll := flag.Duration("poll", 500*time.Millisecond, "poll interval while idle or disconnected")
+	poll := flag.Duration("poll", 500*time.Millisecond, "longest wait per idle ask: the coordinator may hold an ask for a job or a lease this long; after an earlier empty answer or a failed connection, the worker sleeps the rest")
 	oneshot := flag.Bool("oneshot", false, "serve one job to completion, then exit")
 	throttle := flag.Duration("throttle", 0, "artificial delay per evaluated shard (chaos/smoke testing)")
 	flag.Parse()

@@ -16,6 +16,7 @@ package asgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -186,6 +187,12 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
+// Grow reserves room for m more edges, so a caller that knows roughly
+// how many it will add avoids the edge list's growth copies.
+func (b *Builder) Grow(m int) {
+	b.edges = slices.Grow(b.edges, m)
+}
+
 // SetASN installs an external AS number for index v (for display only).
 func (b *Builder) SetASN(v AS, asn int32) {
 	if b.check(v) {
@@ -243,28 +250,45 @@ func (b *Builder) fail(format string, args ...interface{}) {
 
 // Build validates the recorded edges (no duplicates, no conflicting
 // relationship annotations) and returns the immutable Graph.
+//
+// It allocates a fixed handful of objects whatever the size: degrees are
+// counted first, every adjacency list is carved from one exact-size
+// backing array, and repeated AS pairs are found with a per-neighbour
+// stamp array instead of a set of pairs.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	type ukey struct{ x, y AS }
-	seen := make(map[ukey]bool, len(b.edges))
+	n := b.n
+	// deg[3v], deg[3v+1], deg[3v+2]: v's customer, peer and provider
+	// counts.
+	deg := make([]int32, 3*n)
+	for _, e := range b.edges {
+		if e.peer {
+			deg[3*int(e.a)+1]++
+			deg[3*int(e.b)+1]++
+		} else {
+			deg[3*int(e.a)]++
+			deg[3*int(e.b)+2]++
+		}
+	}
+	lists := make([][]AS, 3*n)
 	g := &Graph{
-		customers: make([][]AS, b.n),
-		peers:     make([][]AS, b.n),
-		providers: make([][]AS, b.n),
+		customers: lists[:n:n],
+		peers:     lists[n : 2*n : 2*n],
+		providers: lists[2*n:],
 		asns:      b.asns,
 	}
+	backing := make([]AS, 2*len(b.edges))
+	off := 0
+	for v := 0; v < n; v++ {
+		for k, l := range [3][][]AS{g.customers, g.peers, g.providers} {
+			d := off + int(deg[3*v+k])
+			l[v] = backing[off:off:d]
+			off = d
+		}
+	}
 	for _, e := range b.edges {
-		x, y := e.a, e.b
-		if x > y {
-			x, y = y, x
-		}
-		k := ukey{x, y}
-		if seen[k] {
-			return nil, fmt.Errorf("duplicate or conflicting edge between AS %d and AS %d", e.a, e.b)
-		}
-		seen[k] = true
 		if e.peer {
 			g.peers[e.a] = append(g.peers[e.a], e.b)
 			g.peers[e.b] = append(g.peers[e.b], e.a)
@@ -275,12 +299,41 @@ func (b *Builder) Build() (*Graph, error) {
 			g.numC2P++
 		}
 	}
-	for v := 0; v < b.n; v++ {
-		sortASes(g.customers[v])
-		sortASes(g.peers[v])
-		sortASes(g.providers[v])
+	// A repeated pair puts the same neighbour twice among v's three
+	// lists. stamp[u] == v+1 marks u as already seen around v.
+	stamp := deg[:n]
+	clear(stamp)
+	for v := 0; v < n; v++ {
+		for _, l := range [3][]AS{g.customers[v], g.peers[v], g.providers[v]} {
+			for _, u := range l {
+				if stamp[u] == int32(v+1) {
+					return nil, b.firstDuplicate()
+				}
+				stamp[u] = int32(v + 1)
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		slices.Sort(g.customers[v])
+		slices.Sort(g.peers[v])
+		slices.Sort(g.providers[v])
 	}
 	return g, nil
+}
+
+// firstDuplicate reports the first recorded edge, in insertion order,
+// whose AS pair an earlier edge already joined.
+func (b *Builder) firstDuplicate() error {
+	type ukey struct{ x, y AS }
+	seen := make(map[ukey]bool, len(b.edges))
+	for _, e := range b.edges {
+		k := ukey{min(e.a, e.b), max(e.a, e.b)}
+		if seen[k] {
+			return fmt.Errorf("duplicate or conflicting edge between AS %d and AS %d", e.a, e.b)
+		}
+		seen[k] = true
+	}
+	return nil
 }
 
 // MustBuild is Build, panicking on error. It is intended for tests and
@@ -291,8 +344,4 @@ func (b *Builder) MustBuild() *Graph {
 		panic(err)
 	}
 	return g
-}
-
-func sortASes(s []AS) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -55,6 +55,45 @@ func TestBuilderRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestBuilderNamesFirstDuplicateInInsertionOrder: with several repeated
+// pairs, the error names the first repeat in the order edges were
+// added, not the first one a scan by AS index meets.
+func TestBuilderNamesFirstDuplicateInInsertionOrder(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddProviderCustomer(0, 1)
+	b.AddProviderCustomer(2, 3)
+	b.AddProviderCustomer(3, 2)
+	b.AddPeer(1, 0)
+	_, err := b.Build()
+	if want := "duplicate or conflicting edge between AS 3 and AS 2"; err == nil || err.Error() != want {
+		t.Errorf("Build = %v, want %q", err, want)
+	}
+}
+
+// TestBuildAllocsIndependentOfSize pins Build to a fixed handful of
+// allocations, the same at 50 and at 5000 ASes.
+func TestBuildAllocsIndependentOfSize(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{50, 5000} {
+		b := NewBuilder(n)
+		for v := 1; v < n; v++ {
+			b.AddProviderCustomer(AS(v/2), AS(v))
+			if v%3 == 0 && v+1 < n {
+				b.AddPeer(AS(v), AS(v+1))
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := b.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] > 4 {
+		t.Errorf("Build allocs = %v at n = 50 and 5000, want the same count, at most 4", counts)
+	}
+}
+
 func TestBuilderRejectsBadIndices(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddProviderCustomer(0, 2)

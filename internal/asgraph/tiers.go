@@ -1,6 +1,9 @@
 package asgraph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Tier is the taxonomy of Table 1 in the paper. Every AS belongs to
 // exactly one tier; assignment precedence follows the table top to bottom
@@ -186,7 +189,7 @@ func Classify(g *Graph, cps []AS, cfg *TierConfig) *Tiers {
 		}
 	}
 	for i := range t.Members {
-		sortASes(t.Members[i])
+		slices.Sort(t.Members[i])
 	}
 	return t
 }

@@ -62,11 +62,9 @@ type Options struct {
 	// aligned unit boundaries). Default 16.
 	LeaseShards int
 	// LeaseTTL is the heartbeat deadline: a lease not renewed within it
-	// expires and its shards are re-leased. Default 15s.
+	// expires and its shards are re-leased. Default 15s. A held
+	// (long-polled) request waits at most four TTLs.
 	LeaseTTL time.Duration
-	// Standby is how long a worker should wait before re-asking when
-	// every pending shard is currently leased. Default 500ms.
-	Standby time.Duration
 }
 
 func (o Options) leaseShards() int {
@@ -83,12 +81,19 @@ func (o Options) leaseTTL() time.Duration {
 	return o.LeaseTTL
 }
 
-func (o Options) standby() time.Duration {
-	if o.Standby <= 0 {
-		return 500 * time.Millisecond
-	}
-	return o.Standby
+// maxWait caps a held request's wait_ms: four lease lifetimes, a
+// minute at the default TTL. That is above any sensible worker poll (a
+// worker sleeps between held asks only when its poll exceeds the cap),
+// yet a request parked on a half-open connection is dropped within a
+// few lease lifetimes.
+func (o Options) maxWait() time.Duration {
+	return 4 * o.leaseTTL()
 }
+
+// standbyMillis is the re-ask delay a standby grant advertises. Workers
+// that long-poll ask again after a held standby at once; the constant
+// stays on the wire for workers that predate wait_ms and sleep it.
+const standbyMillis = 500
 
 // Job describes one distributed evaluation for Coordinator.Run. The
 // caller supplies the planned layout and units (sim.JobShardPlan) and
@@ -189,6 +194,11 @@ type Coordinator struct {
 	stats Stats
 	subs  map[chan struct{}]bool
 
+	// closing is closed by Close, releasing held requests and event
+	// streams so an HTTP server's Shutdown is not stalled by them.
+	closing   chan struct{}
+	closeOnce sync.Once
+
 	// now is the lease clock, swappable in tests.
 	now func() time.Time
 }
@@ -196,10 +206,19 @@ type Coordinator struct {
 // NewCoordinator returns an idle coordinator.
 func NewCoordinator(opts Options) *Coordinator {
 	return &Coordinator{
-		opts: opts,
-		subs: map[chan struct{}]bool{},
-		now:  time.Now,
+		opts:    opts,
+		subs:    map[chan struct{}]bool{},
+		closing: make(chan struct{}),
+		now:     time.Now,
 	}
+}
+
+// Close releases every held long-poll and /dist/v1/events stream at
+// once; later long-polls are answered without waiting. Call it before
+// shutting down the HTTP server that serves Handler. It does not touch
+// a running job: that belongs to Run's caller. Close is idempotent.
+func (c *Coordinator) Close() {
+	c.closeOnce.Do(func() { close(c.closing) })
 }
 
 // Run executes one distributed job to completion: it opens (or
@@ -275,7 +294,7 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sbgp.Result, error) {
 	return job.Merge(cw.Partials())
 }
 
-// uninstall detaches the job and wakes subscribers and standby pollers.
+// uninstall detaches the job and wakes subscribers and held requests.
 func (c *Coordinator) uninstall(aj *activeJob) {
 	c.mu.Lock()
 	if c.job == aj {
@@ -330,11 +349,14 @@ type JobInfo struct {
 	Spec        json.RawMessage `json:"spec,omitempty"`
 }
 
-// JobInfo returns the active job's description, or ErrNoJob.
+// JobInfo returns the active job's description, or ErrNoJob. A job
+// that has every shard and is only waiting for its merge counts as no
+// job: there is nothing left to lease, and a worker that opened it
+// would rebuild its simulation for nothing.
 func (c *Coordinator) JobInfo() (*JobInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.job == nil {
+	if c.job == nil || c.job.finished {
 		return nil, ErrNoJob
 	}
 	l := c.job.job.Layout
@@ -351,7 +373,8 @@ func (c *Coordinator) JobInfo() (*JobInfo, error) {
 // LeaseGrant is the coordinator's answer to a lease request. Exactly
 // one of three shapes: Complete (job has every shard; stop), a real
 // lease (LeaseID non-empty), or standby (nothing leasable right now;
-// wait StandbyMillis and ask again). Have always carries the
+// ask again — at once after a held request, else after StandbyMillis,
+// always 500 for workers that predate wait_ms). Have always carries the
 // coordinator's ingested shards as compact ranges — the reconciliation
 // advertisement a returning worker diffs its held shards against.
 type LeaseGrant struct {
@@ -383,7 +406,7 @@ func (c *Coordinator) Lease(worker, fingerprint string) (*LeaseGrant, error) {
 	c.pruneLocked(aj)
 	r, ok := c.nextRangeLocked(aj)
 	if !ok {
-		grant.StandbyMillis = int(c.opts.standby() / time.Millisecond)
+		grant.StandbyMillis = standbyMillis
 		return grant, nil
 	}
 	ttl := c.opts.leaseTTL()
@@ -655,6 +678,73 @@ func (c *Coordinator) notifyLocked() {
 		default:
 		}
 	}
+}
+
+// await is the long-poll loop behind wait_ms: it calls try, and while
+// try reports nothing to answer it waits for a Subscribe wake-up (a
+// job installed or uninstalled, a submit that may retire a lease or
+// complete the job) or the earliest outstanding lease's expiry, then
+// tries again. It gives up after wait, when ctx ends, or once the
+// coordinator closes; the caller then answers with try's last result.
+// With wait ≤ 0 it tries once. The wait runs outside c.mu.
+func (c *Coordinator) await(ctx context.Context, wait time.Duration, try func() bool) {
+	if wait <= 0 {
+		try()
+		return
+	}
+	// Subscribe before the first try, so a change between that try and
+	// the wait below still wakes it; drop the initial wake-up.
+	wake, unsubscribe := c.Subscribe()
+	defer unsubscribe()
+	<-wake
+	deadline := time.NewTimer(wait)
+	defer deadline.Stop()
+	for !try() && c.waitChange(ctx, wake, deadline.C) {
+	}
+}
+
+// waitChange blocks until a wake-up or the earliest lease expiry
+// (true), or until the deadline, ctx's end or Close (false).
+func (c *Coordinator) waitChange(ctx context.Context, wake <-chan struct{}, deadline <-chan time.Time) bool {
+	var expiry <-chan time.Time
+	if d, ok := c.untilExpiry(); ok {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expiry = t.C
+	}
+	// A wake-up racing the caller's departure must not lead to a retry:
+	// a lease granted to a gone caller would strand until its TTL.
+	select {
+	case <-wake:
+		return ctx.Err() == nil
+	case <-expiry:
+		return ctx.Err() == nil
+	case <-deadline:
+	case <-ctx.Done():
+	case <-c.closing:
+	}
+	return false
+}
+
+// untilExpiry reports how long until the active job's earliest
+// outstanding lease lapses (ok is false when none is outstanding).
+// Expiry frees shards without any notify, so await sets a timer for it.
+func (c *Coordinator) untilExpiry() (d time.Duration, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.job == nil {
+		return 0, false
+	}
+	var first time.Time
+	//sbgplint:ordered a minimum over the lease set; visit order never matters
+	for _, l := range c.job.leases {
+		if !ok || l.expires.Before(first) {
+			first, ok = l.expires, true
+		}
+	}
+	// pruneLocked expires a lease only once now is strictly after its
+	// deadline; wake a millisecond past it.
+	return first.Sub(c.now()) + time.Millisecond, ok
 }
 
 // RunSim runs one simulation's job through the coordinator: plan the

@@ -209,7 +209,7 @@ func TestDistributedGoldenByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			const size = 7
-			coord := NewCoordinator(Options{LeaseShards: 5, LeaseTTL: 60 * time.Millisecond, Standby: 5 * time.Millisecond})
+			coord := NewCoordinator(Options{LeaseShards: 5, LeaseTTL: 60 * time.Millisecond})
 			job, layout := gridJob(t, tc.mkGrid, g, size, "", false, nil)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -331,7 +331,7 @@ func TestReconciliationTransfersOnlyMissing(t *testing.T) {
 	g := smallGraph()
 	mkGrid := func() *sbgp.Grid { return chainedGrid(g) }
 	const size = 5
-	coord := NewCoordinator(Options{LeaseShards: 1 << 20, LeaseTTL: 10 * time.Second, Standby: 5 * time.Millisecond})
+	coord := NewCoordinator(Options{LeaseShards: 1 << 20, LeaseTTL: 10 * time.Second})
 	job, layout := gridJob(t, mkGrid, g, size, "", false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -387,7 +387,7 @@ func TestWorkerForeignFingerprint(t *testing.T) {
 	g := smallGraph()
 	other, _ := topogen.MustGenerate(topogen.Params{N: 210, Seed: 29})
 	const size = 5
-	coord := NewCoordinator(Options{Standby: 5 * time.Millisecond})
+	coord := NewCoordinator(Options{})
 	job, layout := gridJob(t, func() *sbgp.Grid { return chainedGrid(g) }, g, size, "", false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -423,7 +423,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	const size = 5
 	path := filepath.Join(t.TempDir(), "dist.ckpt")
 
-	coord1 := NewCoordinator(Options{LeaseShards: 7, Standby: 5 * time.Millisecond})
+	coord1 := NewCoordinator(Options{LeaseShards: 7})
 	job1, layout := gridJob(t, mkGrid, g, size, path, false, nil)
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	done1 := startRun(ctx1, coord1, job1)
@@ -450,7 +450,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	// rest as workers deliver them.
 	var mu sync.Mutex
 	seen := map[int]int{}
-	coord2 := NewCoordinator(Options{LeaseShards: 7, Standby: 5 * time.Millisecond})
+	coord2 := NewCoordinator(Options{LeaseShards: 7})
 	job2, _ := gridJob(t, mkGrid, g, size, path, true, func(p *sbgp.ShardPartial) error {
 		mu.Lock()
 		seen[p.Shard]++
@@ -502,7 +502,7 @@ func TestConcurrentWorkersWithKill(t *testing.T) {
 	g := smallGraph()
 	mkGrid := func() *sbgp.Grid { return chainedGrid(g) }
 	const size = 4
-	coord := NewCoordinator(Options{LeaseShards: 6, LeaseTTL: 60 * time.Millisecond, Standby: 5 * time.Millisecond})
+	coord := NewCoordinator(Options{LeaseShards: 6, LeaseTTL: 60 * time.Millisecond})
 	job, _ := gridJob(t, mkGrid, g, size, "", false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -610,7 +610,7 @@ func TestDistributedJobSpecFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := NewCoordinator(Options{LeaseShards: 6, Standby: 5 * time.Millisecond})
+	coord := NewCoordinator(Options{LeaseShards: 6})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	var wg sync.WaitGroup
@@ -670,7 +670,7 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 	const size = 5
 	path := filepath.Join(t.TempDir(), "late.ckpt")
 
-	coord := NewCoordinator(Options{LeaseShards: 7, LeaseTTL: time.Minute, Standby: 5 * time.Millisecond})
+	coord := NewCoordinator(Options{LeaseShards: 7, LeaseTTL: time.Minute})
 	var clockMu sync.Mutex
 	clock := time.Unix(1_700_000_000, 0)
 	coord.now = func() time.Time {
@@ -791,6 +791,12 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 		if acc, _, err := coord.Submit("w", layout.Fingerprint, evaluate(grant.Range)); err != nil || acc != grant.Range.Len() {
 			t.Fatalf("submit w = (%d, %v), want %d accepted", acc, err, grant.Range.Len())
 		}
+	}
+
+	// A finished job awaiting its merge has nothing left to lease, so
+	// it is no job to a worker asking for one.
+	if _, err := coord.JobInfo(); !errors.Is(err, ErrNoJob) {
+		t.Errorf("JobInfo on a finished job = %v, want ErrNoJob", err)
 	}
 
 	// Phase 3 — batch after completion: the job is finished (the merge

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"time"
 
 	"sbgp"
 )
@@ -13,8 +15,8 @@ import (
 // are strict JSON (unknown fields rejected), like every other wire
 // surface in this repository:
 //
-//	GET  /dist/v1/job        → JobInfo (404 while idle)
-//	POST /dist/v1/lease      {"worker","fingerprint"} → LeaseGrant
+//	GET  /dist/v1/job[?wait_ms=N]    → JobInfo (404 while idle)
+//	POST /dist/v1/lease[?wait_ms=N]  {"worker","fingerprint"} → LeaseGrant
 //	POST /dist/v1/heartbeat  {"lease_id","fingerprint"} → 204
 //	POST /dist/v1/offer      {"worker","fingerprint","shards":[...]} → {"want":[...]}
 //	POST /dist/v1/submit     {"worker","fingerprint","partials":[...]} → {"accepted","duplicates"}
@@ -23,6 +25,32 @@ import (
 //
 // Error mapping: ErrNoJob → 404, ErrFingerprintMismatch → 409,
 // ErrUnknownLease → 410, validation failures → 400.
+//
+// Long-polling. wait_ms lets the coordinator hold an empty answer — the
+// 404 of /job, the standby grant of /lease — for up to N milliseconds.
+// It answers early as soon as there is something to say: a Subscribe
+// wake-up (a job installed or uninstalled, a submit that retires a lease
+// or completes the job) is followed by a fresh try, and so is the expiry
+// of the earliest outstanding lease, which frees its shards. N is
+// clamped to four lease TTLs (a minute at the default TTL); a wait_ms
+// that is not a non-negative decimal integer is a 400 naming the value.
+// Close releases every held request with its empty answer. Workers send
+// their Poll as wait_ms and, after an empty answer, sleep only what is
+// left of Poll (for a standby, at most its StandbyMillis).
+//
+// Compatibility. wait_ms is a query parameter, not a body field, so it
+// passes strict decoding everywhere:
+//
+//	                  old coordinator                new coordinator
+//	old worker        immediate answers,             no wait_ms: immediate
+//	                  worker sleeps Poll/standby     answers, standby 500 ms
+//	new worker        wait_ms ignored; the answer    held answers; re-asks
+//	                  comes at once, so the worker   at once, or after what
+//	                  sleeps the rest of Poll: one   is left of Poll when the
+//	                  ask per Poll, never a spin     coordinator answers early
+//
+// The held standby replaced Options.Standby, which only tests set; the
+// standby grant's StandbyMillis is the constant 500.
 
 type leaseRequest struct {
 	Worker      string `json:"worker"`
@@ -113,8 +141,35 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, v any) er
 	return nil
 }
 
+// parseWait reads the optional wait_ms query parameter: how long the
+// caller lets the coordinator hold an empty answer. Absent means answer
+// at once; values above maxWait are clamped to it.
+func (c *Coordinator) parseWait(r *http.Request) (time.Duration, error) {
+	raw := r.URL.Query().Get("wait_ms")
+	if raw == "" {
+		return 0, nil
+	}
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || ms < 0 {
+		return 0, fmt.Errorf("dist: wait_ms must be a non-negative integer count of milliseconds, got %q", raw)
+	}
+	if limit := c.opts.maxWait(); ms > limit.Milliseconds() {
+		return limit, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	info, err := c.JobInfo()
+	wait, err := c.parseWait(r)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	var info *JobInfo
+	c.await(r.Context(), wait, func() bool {
+		info, err = c.JobInfo()
+		return !errors.Is(err, ErrNoJob)
+	})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -123,12 +178,21 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+	wait, err := c.parseWait(r)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	var req leaseRequest
 	if err := decodeStrict(w, r, 1<<20, &req); err != nil {
 		writeError(w, err)
 		return
 	}
-	grant, err := c.Lease(req.Worker, req.Fingerprint)
+	var grant *LeaseGrant
+	c.await(r.Context(), wait, func() bool {
+		grant, err = c.Lease(req.Worker, req.Fingerprint)
+		return err != nil || grant.Complete || grant.LeaseID != ""
+	})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -185,8 +249,9 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams Stats snapshots as server-sent events on every
-// ingestion change until the client disconnects. Wakeups coalesce, so
-// a slow client sees fewer, fresher snapshots.
+// ingestion change until the client disconnects, a write fails, or the
+// coordinator closes. Wakeups coalesce, so a slow client sees fewer,
+// fresher snapshots.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	wake, unsubscribe := c.Subscribe()
 	defer unsubscribe()
@@ -197,12 +262,16 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
+		case <-c.closing:
+			return
 		case <-wake:
 			data, err := json.Marshal(c.Stats())
 			if err != nil {
 				return
 			}
-			fmt.Fprintf(w, "event: stats\ndata: %s\n\n", data)
+			if _, err := fmt.Fprintf(w, "event: stats\ndata: %s\n\n", data); err != nil {
+				return
+			}
 			if canFlush {
 				flusher.Flush()
 			}

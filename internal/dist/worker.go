@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -114,8 +115,12 @@ type Worker struct {
 	// Workers is the evaluation parallelism the default Open configures
 	// (0: the library default).
 	Workers int
-	// Poll is the retry/poll interval for an idle or unreachable
-	// coordinator. Default 500ms.
+	// Poll is the longest wait per idle ask. An idle ask (for a job,
+	// or for a lease while every pending shard is leased) lets the
+	// coordinator hold its answer up to Poll (wait_ms); an empty answer
+	// that comes sooner — a coordinator without long-polling, or an
+	// unreachable one — is followed by a sleep for the rest of Poll, so
+	// the worker asks at most about once per Poll. Default 500ms.
 	Poll time.Duration
 	// OneJob makes Run return after serving one job to completion
 	// instead of polling for the next.
@@ -146,6 +151,11 @@ func (w *Worker) poll() time.Duration {
 	return w.Poll
 }
 
+// rest is what is left of Poll since an ask sent at asked.
+func (w *Worker) rest(asked time.Time) time.Duration {
+	return w.poll() - time.Since(asked)
+}
+
 func (w *Worker) client() *http.Client {
 	if w.Client != nil {
 		return w.Client
@@ -163,13 +173,15 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		asked := time.Now()
 		info, err := w.jobInfo(ctx)
 		if err != nil {
-			// Idle coordinator or transport failure: poll again.
+			// Idle coordinator or transport failure: ask again once
+			// Poll has passed since this ask.
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return err
 			}
-			if serr := sleepCtx(ctx, w.poll()); serr != nil {
+			if serr := sleepCtx(ctx, w.rest(asked)); serr != nil {
 				return serr
 			}
 			continue
@@ -237,6 +249,7 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		asked := time.Now()
 		grant, err := w.lease(ctx, fingerprint)
 		if err != nil {
 			if errors.Is(err, ErrNoJob) || errors.Is(err, ErrFingerprintMismatch) {
@@ -247,7 +260,7 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return err
 			}
-			if serr := sleepCtx(ctx, w.poll()); serr != nil {
+			if serr := sleepCtx(ctx, w.rest(asked)); serr != nil {
 				return serr
 			}
 			continue
@@ -287,9 +300,13 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 			return nil
 		}
 		if grant.LeaseID == "" {
-			standby := time.Duration(grant.StandbyMillis) * time.Millisecond
-			if standby <= 0 {
-				standby = w.poll()
+			// Standby. A coordinator that held the ask for Poll leaves
+			// nothing to sleep; one that answered at once gets asked
+			// again after the rest of Poll, or its StandbyMillis hint if
+			// that is sooner.
+			standby := w.rest(asked)
+			if hint := time.Duration(grant.StandbyMillis) * time.Millisecond; hint > 0 && hint < standby {
+				standby = hint
 			}
 			if serr := sleepCtx(ctx, standby); serr != nil {
 				return serr
@@ -479,9 +496,15 @@ func (w *Worker) call(ctx context.Context, method, path string, in, out any) err
 	return nil
 }
 
+// waitQuery is the wait_ms query that lets the coordinator hold an
+// idle ask for up to Poll.
+func (w *Worker) waitQuery() string {
+	return "?wait_ms=" + strconv.FormatInt(w.poll().Milliseconds(), 10)
+}
+
 func (w *Worker) jobInfo(ctx context.Context) (*JobInfo, error) {
 	var info JobInfo
-	if err := w.call(ctx, http.MethodGet, "/dist/v1/job", nil, &info); err != nil {
+	if err := w.call(ctx, http.MethodGet, "/dist/v1/job"+w.waitQuery(), nil, &info); err != nil {
 		return nil, err
 	}
 	return &info, nil
@@ -489,7 +512,7 @@ func (w *Worker) jobInfo(ctx context.Context) (*JobInfo, error) {
 
 func (w *Worker) lease(ctx context.Context, fingerprint string) (*LeaseGrant, error) {
 	var grant LeaseGrant
-	err := w.call(ctx, http.MethodPost, "/dist/v1/lease", leaseRequest{Worker: w.ID, Fingerprint: fingerprint}, &grant)
+	err := w.call(ctx, http.MethodPost, "/dist/v1/lease"+w.waitQuery(), leaseRequest{Worker: w.ID, Fingerprint: fingerprint}, &grant)
 	if err != nil {
 		return nil, err
 	}
@@ -520,6 +543,9 @@ func (w *Worker) submit(ctx context.Context, fingerprint string, partials []*sbg
 
 // sleepCtx sleeps d or returns early with ctx's error.
 func sleepCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

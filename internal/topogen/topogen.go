@@ -132,20 +132,25 @@ func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 	stubStart := numTransit + p.NumCPs
 	n := p.N
 
+	// Sizing the edge list and the pair set for the expected edge count
+	// up front (provider links plus PeerRatio as many peer links) spares
+	// their growth copies.
+	edgeHint := int(float64(n)*p.MeanProviders*(1+p.PeerRatio)) + p.NumTier1*p.NumTier1
 	b := asgraph.NewBuilder(n)
+	b.Grow(edgeHint)
 	custDeg := make([]int, n)
 	peerDeg := make([]int, n)
 	type pair struct{ a, b asgraph.AS }
-	adj := make(map[pair]bool)
+	adj := make(map[pair]struct{}, edgeHint)
 	addC2P := func(prov, cust asgraph.AS) bool {
 		k := pair{prov, cust}
 		if prov > cust {
 			k = pair{cust, prov}
 		}
-		if adj[k] {
+		if _, ok := adj[k]; ok {
 			return false
 		}
-		adj[k] = true
+		adj[k] = struct{}{}
 		b.AddProviderCustomer(prov, cust)
 		custDeg[prov]++
 		return true
@@ -155,10 +160,10 @@ func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 		if x > y {
 			k = pair{y, x}
 		}
-		if x == y || adj[k] {
+		if _, ok := adj[k]; x == y || ok {
 			return false
 		}
-		adj[k] = true
+		adj[k] = struct{}{}
 		b.AddPeer(x, y)
 		peerDeg[x]++
 		peerDeg[y]++
