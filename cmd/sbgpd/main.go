@@ -123,18 +123,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Release held worker long-polls and /dist/v1/events streams first:
-	// Shutdown waits for every active request to finish.
+	// Release held worker long-polls, /dist/v1/events streams and the
+	// job service's /events and /wait streams first: Shutdown waits for
+	// every active request to finish.
 	if coord != nil {
 		coord.Close()
+	}
+	if err := srv.Close(); err != nil {
+		log.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v (open connections were cut)", err)
-	}
-	if err := srv.Close(); err != nil {
-		log.Fatal(err)
 	}
 	log.Print("stopped; queued and interrupted jobs will resume on restart")
 }

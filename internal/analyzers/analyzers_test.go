@@ -81,8 +81,8 @@ func TestNoClockFixture(t *testing.T)      { runFixture(t, NoClock, "noclock/cor
 // TestRealTreeClean pins the acceptance criterion: the full suite over
 // the repository reports nothing, and the annotation index actually
 // carries the hotpath and blocking facts — proving hotalloc accepts
-// the real Engine.Run / RunDelta / shard-commit bodies because it
-// checked them, not because it never saw them.
+// the real Engine.Run / RunDelta / shard loop / dispatch-unit bodies
+// because it checked them, not because it never saw them.
 func TestRealTreeClean(t *testing.T) {
 	pkgs, err := NewLoader().Load("../..", "./...")
 	if err != nil {
@@ -101,6 +101,7 @@ func TestRealTreeClean(t *testing.T) {
 		"(*sbgp/internal/core.Engine).RunDelta",
 		"(*sbgp/internal/sweep.Grid).evaluateRange",
 		"(*sbgp/internal/sweep.Grid).evaluateShardPartial",
+		"(*sbgp/internal/sweep.dispatch).unit",
 		"(*sbgp/internal/sweep.shardAcc).add",
 		"sbgp/internal/runner.ForEach",
 	} {

@@ -311,6 +311,17 @@ func TestSetUnionAndContains(t *testing.T) {
 	if a.Has(60) {
 		t.Error("Clone shares storage with original")
 	}
+	// UnionLen counts s ∪ t whichever operand is longer or nil.
+	long := SetOf(200, 3, 150)
+	var none *Set
+	for _, tc := range []struct {
+		s, t *Set
+		want int
+	}{{b, long, 3}, {long, b, 3}, {a, c, 5}, {none, b, 2}, {b, none, 2}, {none, none, 0}} {
+		if got := tc.s.UnionLen(tc.t); got != tc.want {
+			t.Errorf("UnionLen = %d, want %d", got, tc.want)
+		}
+	}
 }
 
 func TestSetQuickProperties(t *testing.T) {

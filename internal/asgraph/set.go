@@ -65,6 +65,29 @@ func (s *Set) Len() int {
 	return n
 }
 
+// UnionLen returns the number of members of s ∪ t without building the
+// union. Either set may be nil.
+func (s *Set) UnionLen(t *Set) int {
+	if s == nil {
+		return t.Len()
+	}
+	if t == nil {
+		return s.Len()
+	}
+	a, b := s.words, t.words
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	n := 0
+	for i, w := range a {
+		if i < len(b) {
+			w |= b[i]
+		}
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // AddAll inserts every member of t.
 func (s *Set) AddAll(t *Set) {
 	if t == nil {

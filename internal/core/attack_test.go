@@ -67,7 +67,7 @@ func TestRunAttackDefaultMatchesRun(t *testing.T) {
 }
 
 // TestAttackStrategiesEpochResetEquivalence extends the epoch-reset/
-// full-clear equivalence to every built-in strategy (including a
+// fresh-engine equivalence to every built-in strategy (including a
 // randomized padding depth), so no strategy can leak state through the
 // O(touched) rollback.
 func TestAttackStrategiesEpochResetEquivalence(t *testing.T) {
@@ -78,7 +78,6 @@ func TestAttackStrategiesEpochResetEquivalence(t *testing.T) {
 	for _, model := range policy.Models {
 		rng := rand.New(rand.NewSource(int64(model)))
 		epoch := NewEngine(g, model)
-		clearE := NewEngine(g, model, WithFullClearReset())
 		for run := 0; run < 40; run++ {
 			d := asgraph.AS(rng.Intn(n))
 			m := asgraph.AS(rng.Intn(n))
@@ -88,9 +87,9 @@ func TestAttackStrategiesEpochResetEquivalence(t *testing.T) {
 			atk := attacks[rng.Intn(len(attacks))]
 			dep := deps[rng.Intn(len(deps))]
 			got := epoch.RunAttack(d, m, dep, atk)
-			want := clearE.RunAttack(d, m, dep, atk)
+			want := NewEngine(g, model).RunAttack(d, m, dep, atk)
 			if !outcomesEqual(got, want) {
-				t.Fatalf("%v run %d attack %s (d=%d m=%d): epoch-reset diverges from full-clear",
+				t.Fatalf("%v run %d attack %s (d=%d m=%d): epoch-reset diverges from a fresh engine",
 					model, run, atk.Name(), d, m)
 			}
 		}

@@ -54,9 +54,7 @@ func (dp *Deployment) SecureCount() int {
 	if dp == nil {
 		return 0
 	}
-	u := dp.Full.Clone()
-	u.AddAll(dp.Simplex)
-	return u.Len()
+	return dp.Full.UnionLen(dp.Simplex)
 }
 
 // Label classifies where an AS's traffic ends up during an attack, in the

@@ -31,10 +31,6 @@ type Engine struct {
 	// resolve selects fully deterministic tiebreaking (lowest next-hop
 	// AS index) instead of the three-valued bound labels.
 	resolve bool
-	// fullClear restores the original O(n) wipe-everything reset; kept
-	// as the reference semantics for equivalence tests and benchmark
-	// baselines.
-	fullClear bool
 
 	// out's five per-AS arrays live in one structure-of-arrays slab
 	// allocated at construction (slab.go) and reused by every run.
@@ -84,14 +80,11 @@ type Engine struct {
 	// dirtyVol accumulates the adjacency degree of every dirty AS, and
 	// RunDelta falls back to the from-scratch run once it reaches
 	// deltaFrac of the graph's total adjacency volume (deg/totalVol are
-	// built lazily alongside inDirty). vertexFallback restores the old
-	// n/4 vertex-count bound — kept for the threshold-comparison
-	// benchmark, not as API.
-	deltaFrac      float64
-	vertexFallback bool
-	deg            []int32
-	totalVol       int64
-	dirtyVol       int64
+	// built lazily alongside inDirty).
+	deltaFrac float64
+	deg       []int32
+	totalVol  int64
+	dirtyVol  int64
 
 	// Removal-delta scratch: the memoized secure reverse-reachability
 	// classification and its walk stack (see seedSecureReverse).
@@ -139,15 +132,6 @@ type Option func(*Engine)
 // message-level simulator and for concrete example walk-throughs.
 func WithResolvedTiebreak() Option {
 	return func(e *Engine) { e.resolve = true }
-}
-
-// WithFullClearReset makes the engine wipe all n outcome entries before
-// every run instead of rolling back only the entries the previous run
-// fixed. The two resets are semantically identical; this option is the
-// reference implementation used by the equivalence tests and the
-// benchmark baseline.
-func WithFullClearReset() Option {
-	return func(e *Engine) { e.fullClear = true }
 }
 
 // DefaultDeltaThreshold is the fraction of the graph's total adjacency
@@ -260,11 +244,7 @@ func (e *Engine) RunAttack(d, m asgraph.AS, dep *Deployment, atk Attack) *Outcom
 	o := &e.out
 	o.Dst, o.Attacker = d, m
 	e.happyValid = false
-	if e.fullClear {
-		e.resetAll()
-	} else {
-		e.rollback()
-	}
+	e.rollback()
 	e.fixedList = e.fixedList[:0]
 
 	e.seeder = Seeder{e: e, Dst: d, Attacker: m, Dep: dep}

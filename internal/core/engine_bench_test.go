@@ -18,26 +18,20 @@ func BenchmarkEngineRun(b *testing.B) {
 		full.Add(asgraph.AS(v))
 	}
 	dep := &Deployment{Full: full}
-	for _, bc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"epoch-reset", nil},
-		{"full-clear", []Option{WithFullClearReset()}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := NewEngine(g, policy.Sec2nd, bc.opts...)
-			// One warm-up run, so even -benchtime 1x (the committed
-			// baseline configuration) measures the steady state the
-			// arena contract is about, not first-run scratch growth.
-			_ = e.Run(10, 200, dep)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = e.Run(asgraph.AS(i%64+10), asgraph.AS(i%97+200), dep)
-			}
-		})
-	}
+	// The sub-benchmark keeps its name so recorded baselines stay
+	// comparable.
+	b.Run("epoch-reset", func(b *testing.B) {
+		e := NewEngine(g, policy.Sec2nd)
+		// One warm-up run, so even -benchtime 1x (the committed
+		// baseline configuration) measures the steady state the
+		// arena contract is about, not first-run scratch growth.
+		_ = e.Run(10, 200, dep)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = e.Run(asgraph.AS(i%64+10), asgraph.AS(i%97+200), dep)
+		}
+	})
 }
 
 // BenchmarkEngineRunDelta measures one step of an incremental rollout
@@ -101,15 +95,12 @@ func BenchmarkEngineRunDelta(b *testing.B) {
 	})
 }
 
-// BenchmarkDeltaThreshold compares the two delta-fallback bounds on the
-// workload the bound exists for: a one-stub-at-a-time rollout, the
+// BenchmarkDeltaThreshold measures the delta-fallback bound on the
+// workload it exists for: a one-stub-at-a-time rollout, the
 // finest-grained chain the paper's figures imply. Securing one stub
 // dirties only the stub and its providers, so the delta should stay
-// incremental at every step; the edge-volume bound (default) charges
-// the dirty region by its adjacency size, while the legacy vertex-count
-// bound can misjudge regions whose few members carry most of the
-// graph's edges (and, conversely, fall back on thousands of cheap
-// stubs).
+// incremental at every step: the edge-volume bound charges the dirty
+// region by its adjacency size.
 func BenchmarkDeltaThreshold(b *testing.B) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
 	n := g.N()
@@ -132,40 +123,31 @@ func BenchmarkDeltaThreshold(b *testing.B) {
 		deps[i] = &Deployment{Full: full.Clone()}
 	}
 	d, m := asgraph.AS(17), asgraph.NonStubs(g)[0]
-	for _, bc := range []struct {
-		name   string
-		vertex bool
-	}{
-		{"edge-volume", false},
-		{"vertex-count", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := NewEngine(g, policy.Sec2nd)
-			e.vertexFallback = bc.vertex
-			prev := e.Run(d, m, deps[0])
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i%(chainLen-1) + 1
-				if k == 1 {
-					b.StopTimer()
-					prev = e.Run(d, m, deps[0])
-					b.StartTimer()
-				}
-				prev = e.RunDelta(prev, added[k], nil, deps[k], nil)
+	b.Run("edge-volume", func(b *testing.B) {
+		e := NewEngine(g, policy.Sec2nd)
+		prev := e.Run(d, m, deps[0])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i%(chainLen-1) + 1
+			if k == 1 {
+				b.StopTimer()
+				prev = e.Run(d, m, deps[0])
+				b.StartTimer()
 			}
-			if e.deltaFallbacks > 0 {
-				b.Logf("%d of %d delta steps fell back", e.deltaFallbacks, b.N)
-			}
-		})
-	}
+			prev = e.RunDelta(prev, added[k], nil, deps[k], nil)
+		}
+		if e.deltaFallbacks > 0 {
+			b.Logf("%d of %d delta steps fell back", e.deltaFallbacks, b.N)
+		}
+	})
 }
 
 // BenchmarkEngineRunSparse measures runs that touch only a small part of
 // the graph: 100 disconnected 40-AS provider trees, attacks staying
-// within one tree. The epoch reset pays O(touched) per run where the
-// full-clear baseline still pays O(n), so this is the regime the
-// rollback exists for.
+// within one tree. The epoch reset pays O(touched) per run where a
+// full clear would pay O(n), so this is the regime the rollback exists
+// for.
 func BenchmarkEngineRunSparse(b *testing.B) {
 	const clusters, size = 100, 40
 	gb := asgraph.NewBuilder(clusters * size)
@@ -181,22 +163,14 @@ func BenchmarkEngineRunSparse(b *testing.B) {
 		full.Add(asgraph.AS(v))
 	}
 	dep := &Deployment{Full: full}
-	for _, bc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"epoch-reset", nil},
-		{"full-clear", []Option{WithFullClearReset()}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := NewEngine(g, policy.Sec2nd, bc.opts...)
-			_ = e.Run(0, 1, dep) // steady state even at -benchtime 1x
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base := asgraph.AS(i % clusters * size)
-				_ = e.Run(base, base+asgraph.AS(i%(size-1)+1), dep)
-			}
-		})
-	}
+	b.Run("epoch-reset", func(b *testing.B) {
+		e := NewEngine(g, policy.Sec2nd)
+		_ = e.Run(0, 1, dep) // steady state even at -benchtime 1x
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			base := asgraph.AS(i % clusters * size)
+			_ = e.Run(base, base+asgraph.AS(i%(size-1)+1), dep)
+		}
+	})
 }

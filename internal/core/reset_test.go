@@ -24,12 +24,13 @@ func outcomesEqual(a, b *Outcome) bool {
 	return true
 }
 
-// TestEpochResetMatchesFullClear drives one epoch-reset engine and one
-// full-clear engine through the same long sequence of runs — varying
-// destination, attacker, and deployment so consecutive runs touch
-// different subsets — and requires byte-identical outcomes after every
-// run. Any state leaking across runs through the rollback would surface
-// as a divergence.
+// TestEpochResetMatchesFullClear drives one epoch-reset engine through
+// a long sequence of runs — varying destination, attacker, and
+// deployment so consecutive runs touch different subsets — and requires
+// byte-identical outcomes after every run to a freshly built engine,
+// whose construction wipes every entry: the strictest full-clear
+// reference. Any state leaking across runs through the rollback would
+// surface as a divergence.
 func TestEpochResetMatchesFullClear(t *testing.T) {
 	graphs := map[string]*asgraph.Graph{}
 	g, _ := topogen.MustGenerate(topogen.Params{N: 600, Seed: 3})
@@ -58,7 +59,6 @@ func TestEpochResetMatchesFullClear(t *testing.T) {
 			for _, lp := range []policy.LocalPref{policy.Standard, policy.LP2} {
 				for _, model := range policy.Models {
 					epoch := NewEngineLP(g, model, lp)
-					clearE := NewEngineLP(g, model, lp, WithFullClearReset())
 					for run := 0; run < 12; run++ {
 						d := asgraph.AS(rng.Intn(n))
 						m := asgraph.AS(rng.Intn(n))
@@ -67,9 +67,9 @@ func TestEpochResetMatchesFullClear(t *testing.T) {
 						}
 						dep := deps[rng.Intn(len(deps))]
 						got := epoch.Run(d, m, dep)
-						want := clearE.Run(d, m, dep)
+						want := NewEngineLP(g, model, lp).Run(d, m, dep)
 						if !outcomesEqual(got, want) {
-							t.Fatalf("%s seed %d %v %v run %d (d=%d m=%d): epoch-reset outcome diverges from full-clear",
+							t.Fatalf("%s seed %d %v %v run %d (d=%d m=%d): epoch-reset outcome diverges from a fresh engine",
 								name, seed, model, lp, run, d, m)
 						}
 					}
@@ -93,7 +93,6 @@ func TestEpochResetResolvedMode(t *testing.T) {
 	dep := &Deployment{Full: full}
 	for _, model := range policy.Models {
 		epoch := NewEngine(g, model, WithResolvedTiebreak())
-		clearE := NewEngine(g, model, WithResolvedTiebreak(), WithFullClearReset())
 		for run := 0; run < 20; run++ {
 			d := asgraph.AS(rng.Intn(n))
 			m := asgraph.AS(rng.Intn(n))
@@ -101,7 +100,7 @@ func TestEpochResetResolvedMode(t *testing.T) {
 				m = asgraph.None
 			}
 			got := epoch.Run(d, m, dep)
-			want := clearE.Run(d, m, dep)
+			want := NewEngine(g, model, WithResolvedTiebreak()).Run(d, m, dep)
 			if !outcomesEqual(got, want) {
 				t.Fatalf("%v run %d (d=%d m=%d): resolved-mode divergence", model, run, d, m)
 			}

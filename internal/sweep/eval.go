@@ -2,19 +2,17 @@ package sweep
 
 import (
 	"context"
-	"sync"
 
 	"sbgp/internal/asgraph"
-	"sbgp/internal/runner"
 )
 
 // Evaluation is a prepared, reusable flat evaluation of one grid on one
-// graph: the expanded axes, the schedule, the task accumulator, the
-// worker-state pool, and the Result are all built once, so repeated
-// Run calls — the shape of a resident service answering the same query,
-// or a benchmark's steady state — allocate nothing per evaluation
-// (PerDest grids excepted; their per-destination series are handed out
-// fresh each Run).
+// graph: the expanded axes, the schedule, the dispatch, the task
+// accumulator, a private EnginePool and the Result are all built once,
+// so repeated Run calls — the shape of a resident service answering the
+// same query, or a benchmark's steady state — allocate nothing per
+// evaluation on any grid (PerDest grids excepted; their per-destination
+// series are handed out fresh each Run).
 //
 // An Evaluation is not safe for concurrent use: Run reuses the same
 // accumulator and Result, and the returned Result is owned by the
@@ -22,29 +20,12 @@ import (
 // a Result across Runs must copy it. One-shot callers should keep using
 // Grid.Evaluate.
 type Evaluation struct {
-	gr    Grid // private copy; the caller's Grid stays untouched
-	g     *asgraph.Graph
-	ax    *axes
-	sched *schedule
-	acc   []destAcc
-	res   Result
-
-	// Worker states are recycled across Runs: states holds every state
-	// ever built (each keeping its loaned engines warm for the
-	// Evaluation's lifetime), free is the per-Run checkout list. The
-	// worker count is fixed by the grid, so states stops growing after
-	// the first Run and the per-Run state churn drops to zero.
-	stateMu sync.Mutex
-	states  []*workerState
-	free    []*workerState
-
-	// ctx is the context of the Run in flight, read by the prebuilt
-	// range closure; the closures are built once so the per-Run
-	// dispatch allocates none.
-	ctx      context.Context
-	emit     func(ti, lo, hi int)
-	rangeFn  func(ws *workerState, ri int)
-	newState func() *workerState
+	gr  Grid // private copy holding the private pool; the caller's Grid stays untouched
+	g   *asgraph.Graph
+	ax  *axes
+	acc []destAcc
+	d   *dispatch
+	res Result
 }
 
 // NewEvaluation validates the grid on g and prepares a reusable
@@ -54,37 +35,11 @@ func (gr *Grid) NewEvaluation(g *asgraph.Graph) (*Evaluation, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := &Evaluation{gr: *gr, g: g, ax: ax}
-	ev.sched = newSchedule(&ev.gr, ax, g)
-	ev.acc = make([]destAcc, ax.tasks)
-	if ev.gr.Pool == nil {
-		// The Evaluation owns its engines outright: the states below keep
-		// them loaned for the Evaluation's lifetime, so the pool is only
-		// the allocator behind the first Run.
-		ev.gr.Pool = NewEnginePool()
-	}
-	ev.emit = func(ti, lo, hi int) {
-		a := &ev.acc[ti]
-		a.lo += lo
-		a.hi += hi
-		a.pairs++
-	}
-	ev.rangeFn = func(ws *workerState, ri int) {
-		start, end := ev.sched.rangeAt(ri)
-		ev.gr.evaluateRange(ev.ctx, ev.g, ws, ev.sched, nil, start, end, ev.emit)
-	}
-	ev.newState = func() *workerState {
-		ev.stateMu.Lock()
-		defer ev.stateMu.Unlock()
-		if n := len(ev.free); n > 0 {
-			ws := ev.free[n-1]
-			ev.free = ev.free[:n-1]
-			return ws
-		}
-		ws := ev.gr.newWorkerState()
-		ev.states = append(ev.states, ws)
-		return ws
-	}
+	ev := &Evaluation{gr: *gr, g: g, ax: ax, acc: make([]destAcc, ax.tasks)}
+	// The pool keeps the worker states — engines and scratch — warm
+	// between Runs; every Run's loans are released when it returns.
+	ev.gr.Pool = NewEnginePool()
+	ev.d = ev.gr.flatDispatch(g, newSchedule(&ev.gr, ax, g), ev.acc)
 	return ev, nil
 }
 
@@ -92,19 +47,9 @@ func (gr *Grid) NewEvaluation(g *asgraph.Graph) (*Evaluation, error) {
 // Evaluation's reusable Result. The Result is valid until the next Run.
 // Cancelling ctx aborts promptly with (nil, ctx.Err()).
 func (ev *Evaluation) Run(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	clear(ev.acc)
-	ev.ctx = ctx
-	ev.free = append(ev.free[:0], ev.states...)
-	err := runner.ForEach(ctx, ev.sched.numRanges(), ev.gr.Workers, ev.newState, ev.rangeFn)
-	// States built during this Run grow the checkout list now, while
-	// they are all idle, so the next Run's checkout stays within
-	// capacity — the warm-up Run absorbs the one-time growth.
-	if cap(ev.free) < len(ev.states) {
-		ev.free = make([]*workerState, 0, len(ev.states))
-	}
+	err := ev.d.run(ctx)
+	ev.gr.Pool.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,6 +39,36 @@ func goldenGrid(g *asgraph.Graph, workers int, attack core.Attack) *Grid {
 		PerDest:      true,
 		Attack:       attack,
 		Workers:      workers,
+	}
+}
+
+// checkEvaluation pins a prepared Evaluation of gr to want: a Run under
+// an already-cancelled context returns (nil, context.Canceled) and
+// leaves nothing behind in the reused dispatch, and two live Runs on
+// the same Evaluation then both produce want.
+func checkEvaluation(t *testing.T, g *asgraph.Graph, gr *Grid, want []byte, label string) {
+	t.Helper()
+	ev, err := gr.NewEvaluation(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := ev.Run(ctx); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("%s: cancelled Run returned (%v, %v), want (nil, context.Canceled)", label, res, err)
+	}
+	for run := 1; run <= 2; run++ {
+		res, err := ev.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := res.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), want) {
+			t.Errorf("%s: Evaluation.Run %d diverges from golden", label, run)
+		}
 	}
 }
 
@@ -94,6 +125,9 @@ func TestGoldenSweepJSON(t *testing.T) {
 			}
 			if !bytes.Equal(parallel.Bytes(), want) {
 				t.Errorf("workers=%d sweep JSON diverges from golden %s", workers, path)
+			}
+			for _, w := range []int{1, 4} {
+				checkEvaluation(t, g, goldenGrid(g, w, tc.attack), want, fmt.Sprintf("%s workers=%d", path, w))
 			}
 
 			// The sharded evaluator must land on the same bytes.
@@ -206,6 +240,10 @@ func TestGoldenNestedDeployments(t *testing.T) {
 	}
 	if !bytes.Equal(serial.Bytes(), want) {
 		t.Errorf("non-incremental nested grid diverges from golden:\n--- got ---\n%s", serial.String())
+	}
+
+	for _, w := range []int{1, 4} {
+		checkEvaluation(t, g, nestedGrid(g, w, IncrementalAuto), want, fmt.Sprintf("nested workers=%d", w))
 	}
 
 	gomax := runtime.GOMAXPROCS(0)

@@ -9,14 +9,16 @@ package sweep
 // so leasing whole units keeps delta reuse worker-local);
 // EvaluateShardRange evaluates any range against a layout it first
 // verifies; MergePartials folds a complete partial set back into the
-// same bytes EvaluateSharded would have produced. The single-box
-// evaluator (shard.go) dispatches through the same unit machinery, so
-// "distributed" and "local" are the same computation cut differently.
+// same bytes EvaluateSharded would have produced. Every evaluator —
+// flat, prepared, sharded (shard.go) and range — runs through the one
+// dispatcher below, so "flat", "distributed" and "local" are the same
+// computation cut differently.
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/runner"
@@ -170,9 +172,6 @@ type RangeOptions struct {
 // evaluation: partials it emits merge byte-identically with partials
 // from any other worker holding the same layout.
 func (gr *Grid) EvaluateShardRange(ctx context.Context, g *asgraph.Graph, l *Layout, r ShardRange, opts RangeOptions) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ax, err := gr.expand()
 	if err != nil {
 		return err
@@ -193,12 +192,12 @@ func (gr *Grid) EvaluateShardRange(ctx context.Context, g *asgraph.Graph, l *Lay
 	for s := r.Start; s < r.End; s++ {
 		pending = append(pending, s)
 	}
-	return gr.evaluatePending(ctx, g, ax, sched, l.ShardSize, pending, opts.Sink == nil, opts.Stats, func(p *ShardPartial) error {
-		if opts.Sink != nil {
-			return opts.Sink(p)
-		}
-		return nil
-	})
+	commit := opts.Sink
+	if commit == nil {
+		commit = func(*ShardPartial) error { return nil }
+	}
+	units := pendingUnits(sched, pending, l.ShardSize)
+	return gr.newDispatch(g, sched, l.ShardSize, units, opts.Sink == nil, opts.Stats, commit).run(ctx)
 }
 
 // MergePartials folds a complete set of shard partials — one per shard
@@ -227,11 +226,7 @@ func (gr *Grid) MergePartials(g *asgraph.Graph, l *Layout, partials []*ShardPart
 			return nil, fmt.Errorf("sweep: duplicate partial for shard %d", p.Shard)
 		}
 		seen[p.Shard] = true
-		for i, ti := range p.Tasks {
-			acc[ti].lo += p.Lo[i]
-			acc[ti].hi += p.Hi[i]
-			acc[ti].pairs += p.Pairs[i]
-		}
+		fold(acc, p)
 	}
 	for s, ok := range seen {
 		if !ok {
@@ -241,85 +236,138 @@ func (gr *Grid) MergePartials(g *asgraph.Graph, l *Layout, partials []*ShardPart
 	return gr.reduce(g, ax, acc), nil
 }
 
-// evaluatePending is the dispatch loop shared by EvaluateSharded and
-// EvaluateShardRange: the pending shards are cut into chain-ordered
-// units, the units fan out over the worker pool, and each completed
-// shard's partial is committed serially under a mutex. A commit error
-// aborts the remaining shards promptly, and a shard finishing after
-// cancellation (or after a failed commit) is discarded — once ctx.Err()
-// is set, commit is never called again, so a sink that cancels the
-// context can rely on seeing no further partials.
+// fold adds one partial's exact counts into the task accumulator —
+// the positional integer merge, so any fold order gives the same bytes.
+func fold(acc []destAcc, p *ShardPartial) {
+	for i, ti := range p.Tasks {
+		a := &acc[ti]
+		a.lo += p.Lo[i]
+		a.hi += p.Hi[i]
+		a.pairs += p.Pairs[i]
+	}
+}
+
+// dispatch is the one loop that evaluates a grid. Its units fan out
+// over the worker pool, each unit's shards run in order on one worker
+// (so a carried chain tail never crosses a goroutine), and each
+// completed partial is committed serially under mu. A commit error sets
+// failed, which evaluateRange checks wherever it checks ctx, so the
+// remaining shards stop promptly; once either is set, commit is never
+// called again, so a sink that cancels the context sees no further
+// partials. Sharded evaluation cuts shards of size cells; flat
+// evaluation has size 0, where shard s is the schedule's range s.
 //
 // With reuse set, the partial handed to commit is the worker's own
 // scratch, valid only during the call: pass it only when commit (and
 // everything it feeds) copies what it keeps before returning. That is
-// what makes the steady-state shard loop allocation-free.
-func (gr *Grid) evaluatePending(ctx context.Context, g *asgraph.Graph, ax *axes, sched *schedule, size int, pending []int, reuse bool, stats *ShardStats, commit func(p *ShardPartial) error) error {
-	units := pendingUnits(sched, pending, size)
+// what makes the steady-state loop allocation-free. A dispatch may run
+// many times (a prepared Evaluation keeps one), but not concurrently.
+type dispatch struct {
+	gr     *Grid
+	g      *asgraph.Graph
+	sched  *schedule
+	size   int
+	units  []ShardRange
+	reuse  bool
+	stats  *ShardStats
+	commit func(p *ShardPartial) error
 
-	// abort lets a commit failure stop the remaining shards without
-	// waiting for the whole grid.
-	ctx, abort := context.WithCancel(ctx)
-	defer abort()
-	var mu sync.Mutex
-	var commitErr error
-	var handoffHits, handoffMisses int
-	err := runner.ForEach(ctx, len(units), gr.Workers, gr.newWorkerState,
-		func(ws *workerState, ui int) {
-			u := units[ui]
-			// Chain tail carry across the unit's interior shard
-			// boundaries (chain-major schedules only; the identity
-			// schedule never splits a chain, and its units are single
-			// shards anyway). The carry is worker-owned and reset per
-			// unit, so the tail fixed point never crosses a goroutine.
-			var c *carry
-			if !sched.identity() {
-				c = &ws.chainCarry
-				c.reset()
-			}
-			for s := u.Start; s < u.End; s++ {
-				start := s * size
-				end := start + size
-				if end > ax.cells {
-					end = ax.cells
-				}
-				p, ok := gr.evaluateShardPartial(ctx, g, ws, sched, c, s, start, end, reuse)
-				if !ok {
-					break
-				}
-				mu.Lock()
-				if commitErr != nil || ctx.Err() != nil {
-					mu.Unlock()
-					break
-				}
-				if cerr := commit(p); cerr != nil {
-					commitErr = cerr
-					mu.Unlock()
-					abort()
-					break
-				}
-				mu.Unlock()
-			}
-			if c != nil && (c.hits != 0 || c.misses != 0) {
-				mu.Lock()
-				handoffHits += c.hits
-				handoffMisses += c.misses
-				mu.Unlock()
-			}
-		})
-	if stats != nil {
-		stats.Units += len(units)
-		stats.HandoffHits += handoffHits
-		stats.HandoffMisses += handoffMisses
+	// Per-run state, reset by run.
+	ctx          context.Context
+	failed       atomic.Bool
+	mu           sync.Mutex
+	err          error
+	hits, misses int
+
+	// Method values bound once, so run allocates no func values.
+	newState func() *workerState
+	unitFn   func(ws *workerState, ui int)
+}
+
+func (gr *Grid) newDispatch(g *asgraph.Graph, sched *schedule, size int, units []ShardRange, reuse bool, stats *ShardStats, commit func(p *ShardPartial) error) *dispatch {
+	d := &dispatch{gr: gr, g: g, sched: sched, size: size, units: units, reuse: reuse, stats: stats, commit: commit}
+	d.newState = gr.newWorkerState
+	d.unitFn = d.unit
+	return d
+}
+
+// flatDispatch is flat evaluation: one single-shard unit per schedule
+// range, no sink, and each range's reusable partial folded into acc.
+func (gr *Grid) flatDispatch(g *asgraph.Graph, sched *schedule, acc []destAcc) *dispatch {
+	units := make([]ShardRange, sched.numRanges())
+	for ri := range units {
+		units[ri] = ShardRange{Start: ri, End: ri + 1}
+	}
+	return gr.newDispatch(g, sched, 0, units, true, nil, func(p *ShardPartial) error {
+		fold(acc, p)
+		return nil
+	})
+}
+
+// run evaluates every unit, returning the first commit error, else
+// ctx.Err().
+func (d *dispatch) run(ctx context.Context) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	d.ctx, d.err, d.hits, d.misses = ctx, nil, 0, 0
+	d.failed.Store(false)
+	err := runner.ForEach(ctx, len(d.units), d.gr.Workers, d.newState, d.unitFn)
+	if d.stats != nil {
+		d.stats.Units += len(d.units)
+		d.stats.HandoffHits += d.hits
+		d.stats.HandoffMisses += d.misses
 		// Planner fields describe the schedule itself, not this dispatch:
 		// assignment, not accumulation, so re-evaluating the same layout
 		// (resume, range leases) reports the same plan.
-		stats.ChainHeads = sched.planHeads
-		stats.DeltaEdges = sched.planDeltaEdges
-		stats.PredictedVolume = sched.planPredictedVol
+		d.stats.ChainHeads = d.sched.planHeads
+		d.stats.DeltaEdges = d.sched.planDeltaEdges
+		d.stats.PredictedVolume = d.sched.planPredictedVol
 	}
-	if commitErr != nil {
-		return commitErr
+	if d.err != nil {
+		return d.err
 	}
 	return err
+}
+
+// unit evaluates dispatch unit ui's shards in order and commits each.
+//
+//sbgp:hotpath
+func (d *dispatch) unit(ws *workerState, ui int) {
+	u := d.units[ui]
+	// Chain tail carry across the unit's interior shard boundaries
+	// (chain-major schedules only), reset per unit.
+	var c *carry
+	if !d.sched.identity() {
+		c = &ws.chainCarry
+		c.reset()
+	}
+	for s := u.Start; s < u.End; s++ {
+		start, end := s*d.size, min((s+1)*d.size, d.sched.ax.cells)
+		if d.size == 0 {
+			start, end = d.sched.rangeAt(s)
+		}
+		p, ok := d.gr.evaluateShardPartial(d.ctx, &d.failed, d.g, ws, d.sched, c, s, start, end, d.reuse)
+		if !ok {
+			break
+		}
+		d.mu.Lock()
+		if d.failed.Load() || d.ctx.Err() != nil {
+			d.mu.Unlock()
+			break
+		}
+		if err := d.commit(p); err != nil {
+			d.err = err
+			d.failed.Store(true)
+			d.mu.Unlock()
+			break
+		}
+		d.mu.Unlock()
+	}
+	if c != nil && (c.hits != 0 || c.misses != 0) {
+		d.mu.Lock()
+		d.hits += c.hits
+		d.misses += c.misses
+		d.mu.Unlock()
+	}
 }

@@ -3,12 +3,57 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sbgp/internal/topogen"
 )
+
+// TestDispatchRerunAfterCommitError: a dispatch is reused across runs
+// (a prepared Evaluation keeps one), so a failed commit must not leak
+// into the next run — its error and stop flag are reset, and the rerun
+// commits every range and reproduces the one-shot result.
+func TestDispatchRerunAfterCommitError(t *testing.T) {
+	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 23})
+	gr := chainedGrid(g, IncrementalAuto)
+	gr.Workers = 2
+	var want bytes.Buffer
+	if err := gr.MustEvaluate(g).WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	ax, err := gr.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := make([]destAcc, ax.tasks)
+	d := gr.flatDispatch(g, newSchedule(gr, ax, g), acc)
+	boom := errors.New("commit failed")
+	fail := true
+	foldCommit := d.commit
+	d.commit = func(p *ShardPartial) error {
+		if fail {
+			return boom
+		}
+		return foldCommit(p)
+	}
+	if err := d.run(context.Background()); !errors.Is(err, boom) {
+		t.Fatalf("failing commit returned %v, want %v", err, boom)
+	}
+	fail = false
+	clear(acc)
+	if err := d.run(context.Background()); err != nil {
+		t.Fatalf("rerun after a failed commit: %v", err)
+	}
+	var got bytes.Buffer
+	if err := gr.reduce(g, ax, acc).WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("rerun after a failed commit diverges from Evaluate")
+	}
+}
 
 // TestPlanShardsUnits pins the planning contract: the layout geometry
 // is self-consistent, the units tile the shard space exactly, every

@@ -1,11 +1,11 @@
 package sweep
 
-// The unified chain-major scheduler. Both evaluators — the flat
-// EvaluateContext and the sharded EvaluateSharded — used to carry their
-// own copy of the chain-walk logic, and the sharded copy cut shards on
-// the raw (deployment-outermost) cell order, so a nested-deployment
-// chain crossing a shard boundary re-ran its head from scratch in every
-// shard it touched. This file replaces both walks with one:
+// The unified chain-major scheduler. The flat and sharded evaluators
+// used to carry their own copy of the chain-walk logic, and the sharded
+// copy cut shards on the raw (deployment-outermost) cell order, so a
+// nested-deployment chain crossing a shard boundary re-ran its head
+// from scratch in every shard it touched. This file replaces both walks
+// with one, which the one dispatcher (plan.go) runs for every evaluator:
 //
 //   - A schedule is a permutation of the flattened (deployment × model
 //     × destination × attacker) cell space. Incremental grids order it
@@ -20,10 +20,11 @@ package sweep
 //     whose every pairwise delta costs at least a from-scratch run)
 //     keep the identity schedule: the exact cell order, shard layout,
 //     and checkpoint fingerprint of the previous releases.
-//   - evaluateRange walks any scheduled range, emitting one exact
-//     integer (task, lo, hi) triple per valid cell. Partials stay
-//     positional, so results remain byte-identical to the unscheduled
-//     evaluation at every worker count and shard size.
+//   - evaluateRange walks any scheduled range, adding one exact
+//     integer (task, lo, hi) triple per valid cell to the worker's
+//     shard accumulator. Partials stay positional, so results remain
+//     byte-identical to the unscheduled evaluation at every worker
+//     count and shard size.
 //   - Where a shard boundary does split a chain, the worker carries the
 //     chain's tail fixed point across the boundary and resumes with
 //     RunDelta instead of re-running the head. The unit dispatcher
@@ -35,6 +36,7 @@ package sweep
 import (
 	"context"
 	"sort"
+	"sync/atomic"
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/core"
@@ -122,11 +124,11 @@ func (s *schedule) handoffFree(p int) bool {
 	return (p-s.blockStart[ci])%len(s.plan.chains[ci]) == 0
 }
 
-// numRanges returns how many dispatch units the flat evaluator splits
-// the schedule into: one per (deployment, model, destination) task on
-// the identity schedule — the historical granularity — and one per
-// (chain, model, destination) walk on a chain-major schedule, so every
-// RunDelta chain stays within a single worker.
+// numRanges returns how many one-shard units flat evaluation cuts the
+// schedule into: one per (deployment, model, destination) task on the
+// identity schedule — the historical granularity — and one per (chain,
+// model, destination) walk on a chain-major schedule, so every RunDelta
+// chain stays within a single worker.
 func (s *schedule) numRanges() int {
 	if s.plan == nil {
 		return s.ax.tasks
@@ -134,7 +136,7 @@ func (s *schedule) numRanges() int {
 	return len(s.plan.chains) * s.ax.nm * s.ax.nd
 }
 
-// rangeAt returns the scheduled half-open range of dispatch unit ri.
+// rangeAt returns the scheduled half-open range of flat range ri.
 func (s *schedule) rangeAt(ri int) (start, end int) {
 	if s.plan == nil {
 		return ri * s.ax.na, (ri + 1) * s.ax.na
@@ -194,24 +196,24 @@ func (c *carry) offer(pos int, o *core.Outcome) {
 	c.pos, c.out = pos, o
 }
 
-// evaluateRange evaluates the scheduled positions [start, end), calling
-// emit once per valid (attacker ≠ destination) cell with the cell's
-// task index and exact integer happy bounds. Cells are visited in
-// scheduled order; on a chain-major schedule each group run reuses the
+// evaluateRange evaluates the scheduled positions [start, end), adding
+// each valid (attacker ≠ destination) cell's exact integer happy bounds
+// to the worker's shard accumulator. Cells are visited in scheduled
+// order; on a chain-major schedule each group run reuses the
 // previous step's fixed point via RunDelta — replaying the step's
 // removed-then-added signed delta in one call, so forest walks that
 // shrink a deployment ride the same path as grow-only chains — and the
 // carry, when given, bridges runs cut by the range boundary. It reports
-// false if ctx was cancelled, in which case the partial emission must
-// be discarded.
+// false if ctx was cancelled or stop was set (a failed commit), in
+// which case the accumulated counts must be discarded.
 //
 //sbgp:hotpath
-func (gr *Grid) evaluateRange(ctx context.Context, g *asgraph.Graph, ws *workerState, s *schedule, c *carry, start, end int, emit func(ti, lo, hi int)) bool {
+func (gr *Grid) evaluateRange(ctx context.Context, stop *atomic.Bool, g *asgraph.Graph, ws *workerState, s *schedule, c *carry, start, end int) bool {
 	ax := s.ax
 	if s.plan == nil {
 		// Identity: one RunAttack per cell, grouped by task.
 		for cs := start; cs < end; {
-			if ctx.Err() != nil {
+			if ctx.Err() != nil || stop.Load() {
 				return false
 			}
 			ti := cs / ax.na
@@ -231,7 +233,7 @@ func (gr *Grid) evaluateRange(ctx context.Context, g *asgraph.Graph, ws *workerS
 				}
 				e.RunAttack(d, m, dep, gr.Attack)
 				lo, hi := e.HappyBounds()
-				emit(ti, lo, hi)
+				ws.acc.add(ti, lo, hi)
 			}
 			cs = ti*ax.na + aiEnd
 		}
@@ -272,9 +274,9 @@ func (gr *Grid) evaluateRange(ctx context.Context, g *asgraph.Graph, ws *workerS
 		posEnd := pos0 + (p1 - p)
 		for pos := pos0; pos < posEnd; pos++ {
 			// A group run covers up to a whole chain of engine runs —
-			// re-check the context per step so cancellation stays
-			// prompt.
-			if ctx.Err() != nil {
+			// re-check the context and stop flag per step so
+			// cancellation stays prompt.
+			if ctx.Err() != nil || stop.Load() {
 				return false
 			}
 			step := ch[pos]
@@ -285,7 +287,7 @@ func (gr *Grid) evaluateRange(ctx context.Context, g *asgraph.Graph, ws *workerS
 				prev = e.RunDelta(prev, step.added, step.removed, dep, gr.Attack)
 			}
 			lo, hi := e.HappyBounds()
-			emit((step.si*ax.nm+mi)*ax.nd+di, lo, hi)
+			ws.acc.add((step.si*ax.nm+mi)*ax.nd+di, lo, hi)
 		}
 		if c != nil && p1 == end && p1 < gEnd {
 			c.offer(p1, prev)

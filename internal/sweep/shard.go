@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sync/atomic"
 
 	"sbgp/internal/asgraph"
 )
@@ -267,14 +268,14 @@ func (a *shardAcc) add(ti, lo, hi int) {
 // returned partial is the worker-owned scratch, valid only until the
 // worker's next shard — callers that retain partials past the commit
 // must pass reuse = false for a freshly allocated one. It reports
-// ok = false if ctx was cancelled, in which case the (incomplete)
-// partial must be discarded.
+// ok = false if ctx was cancelled or stop was set, in which case the
+// (incomplete) partial must be discarded.
 //
 //sbgp:hotpath
-func (gr *Grid) evaluateShardPartial(ctx context.Context, g *asgraph.Graph, ws *workerState, sched *schedule, c *carry, shard, start, end int, reuse bool) (p *ShardPartial, ok bool) {
+func (gr *Grid) evaluateShardPartial(ctx context.Context, stop *atomic.Bool, g *asgraph.Graph, ws *workerState, sched *schedule, c *carry, shard, start, end int, reuse bool) (p *ShardPartial, ok bool) {
 	a := &ws.acc
 	a.begin(sched.ax.tasks)
-	if !gr.evaluateRange(ctx, g, ws, sched, c, start, end, ws.accEmit()) {
+	if !gr.evaluateRange(ctx, stop, g, ws, sched, c, start, end) {
 		return nil, false
 	}
 	slices.Sort(a.touched)
@@ -319,9 +320,6 @@ func (gr *Grid) evaluateShardPartial(ctx context.Context, g *asgraph.Graph, ws *
 // and a later call with Resume set skips exactly those shards and
 // reproduces the uninterrupted result.
 func (gr *Grid) EvaluateSharded(ctx context.Context, g *asgraph.Graph, opts ShardOptions) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ax, err := gr.expand()
 	if err != nil {
 		return nil, err
@@ -357,14 +355,6 @@ func (gr *Grid) EvaluateSharded(ctx context.Context, g *asgraph.Graph, opts Shar
 	// partial when no Sink is watching.
 	acc := make([]destAcc, ax.tasks)
 	done := make([]bool, nshards)
-	fold := func(p *ShardPartial) {
-		for i, ti := range p.Tasks {
-			acc[ti].lo += p.Lo[i]
-			acc[ti].hi += p.Hi[i]
-			acc[ti].pairs += p.Pairs[i]
-		}
-		done[p.Shard] = true
-	}
 	if cp != nil {
 		// Replay checkpointed shards in shard order so the sink
 		// observes the whole grid, not just the fresh remainder.
@@ -375,7 +365,8 @@ func (gr *Grid) EvaluateSharded(ctx context.Context, g *asgraph.Graph, opts Shar
 					return nil, err
 				}
 			}
-			fold(p)
+			fold(acc, p)
+			done[p.Shard] = true
 		}
 	}
 
@@ -386,14 +377,14 @@ func (gr *Grid) EvaluateSharded(ctx context.Context, g *asgraph.Graph, opts Shar
 		}
 	}
 
-	// The shared unit dispatcher (plan.go) cuts the pending shards into
-	// chain-ordered units and commits each completed partial —
-	// checkpoint record first, then sink, then the fold — exactly as
-	// the distributed range evaluator does. The checkpoint writer
-	// marshals immediately and the fold copies the counts out, so the
-	// partial may be worker-owned scratch unless a Sink (which may
-	// retain what it sees) is present.
-	err = gr.evaluatePending(ctx, g, ax, sched, size, pending, opts.Sink == nil, opts.Stats,
+	// The dispatcher (plan.go) runs the pending shards as chain-ordered
+	// units and commits each completed partial — checkpoint record
+	// first, then sink, then the fold — exactly as the distributed range
+	// evaluator does. The checkpoint writer marshals immediately and the
+	// fold copies the counts out, so the partial may be worker-owned
+	// scratch unless a Sink (which may retain what it sees) is present.
+	units := pendingUnits(sched, pending, size)
+	err = gr.newDispatch(g, sched, size, units, opts.Sink == nil, opts.Stats,
 		func(p *ShardPartial) error {
 			if cp != nil {
 				if err := cp.append(p); err != nil {
@@ -405,9 +396,10 @@ func (gr *Grid) EvaluateSharded(ctx context.Context, g *asgraph.Graph, opts Shar
 					return err
 				}
 			}
-			fold(p)
+			fold(acc, p)
+			done[p.Shard] = true
 			return nil
-		})
+		}).run(ctx)
 	if err != nil {
 		return nil, err
 	}

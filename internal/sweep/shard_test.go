@@ -411,18 +411,27 @@ func TestShardedCheckpointDurability(t *testing.T) {
 }
 
 // TestShardedSinkError: a failing sink (or checkpoint write) aborts the
-// evaluation with the sink's error instead of returning a result.
+// evaluation with the sink's error instead of returning a result, and
+// no partial is committed after the failure — even with a second
+// worker finishing shards concurrently.
 func TestShardedSinkError(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 120, Seed: 3})
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
 	grid := &Grid{Attackers: M, Destinations: D, Workers: 2}
 	boom := errors.New("sink full")
+	calls := 0 // the sink is called serially
 	res, err := grid.EvaluateSharded(context.Background(), g, ShardOptions{
 		ShardSize: 8,
-		Sink:      func(*ShardPartial) error { return boom },
+		Sink: func(*ShardPartial) error {
+			calls++
+			return boom
+		},
 	})
 	if !errors.Is(err, boom) || res != nil {
 		t.Fatalf("failing sink returned (%v, %v), want (nil, %v)", res, err, boom)
+	}
+	if calls != 1 {
+		t.Errorf("sink called %d times, want exactly 1: partials were committed after the failure", calls)
 	}
 }
 

@@ -192,9 +192,8 @@ type destAcc struct {
 // and deployment lists plus the dimensions of the task and cell spaces.
 // Tasks are (deployment, model, destination) triples in declaration
 // order; cells append the attacker as the innermost axis, so cell
-// ci = task*na + attackerIndex. Both Evaluate and the sharded
-// evaluator index the same spaces, which is what makes their results
-// byte-identical.
+// ci = task*na + attackerIndex. Every evaluator indexes the same
+// spaces, which is what makes their results byte-identical.
 type axes struct {
 	models []policy.Model
 	deps   []Deployment
@@ -271,39 +270,26 @@ func (gr *Grid) attackName() string {
 }
 
 // workerState is the per-worker scratch of grid evaluation: one lazily
-// built engine per security model, plus the sharded path's reusable
+// built engine per security model, plus the dispatcher's reusable
 // accumulator, partial, and chain carry. The engine's epoch reset makes
 // reuse across deployments and destinations cheap, and the shard
-// scratch makes the steady-state shard loop allocation-free — an
-// EnginePool recycles the whole state, engines and scratch alike.
+// scratch makes the steady-state loop allocation-free — an EnginePool
+// recycles the whole state, engines and scratch alike.
 type workerState struct {
 	engines [policy.NumModels]*core.Engine
 
 	// acc is the per-shard task accumulator (epoch-stamped, so a new
-	// shard needs no O(tasks) clear); emit is the closure that feeds it,
-	// built once so the per-shard evaluateRange call allocates nothing.
-	acc  shardAcc
-	emit func(ti, lo, hi int)
+	// shard needs no O(tasks) clear).
+	acc shardAcc
 
 	// partial is the reusable ShardPartial the commit path hands out
-	// when the caller retains nothing past the commit (see
-	// evaluatePending's reuse contract).
+	// when the caller retains nothing past the commit (see dispatch's
+	// reuse contract).
 	partial ShardPartial
 
 	// chainCarry hands chain-tail fixed points across the shard
 	// boundaries interior to one dispatch unit.
 	chainCarry carry
-}
-
-// accEmit returns the worker's accumulator-feeding emit closure,
-// building it on first use. Keeping the closure on the state means the
-// per-shard hot path passes a pre-existing func value instead of
-// allocating a fresh closure per shard.
-func (ws *workerState) accEmit() func(ti, lo, hi int) {
-	if ws.emit == nil {
-		ws.emit = func(ti, lo, hi int) { ws.acc.add(ti, lo, hi) }
-	}
-	return ws.emit
 }
 
 func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.LocalPref) *core.Engine {
@@ -315,8 +301,8 @@ func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.Lo
 	return e
 }
 
-// newWorkerState is the worker-state factory shared by both evaluators:
-// fresh scratch, or a recycled one when the grid carries an EnginePool.
+// newWorkerState is the dispatcher's worker-state factory: fresh
+// scratch, or a recycled one when the grid carries an EnginePool.
 func (gr *Grid) newWorkerState() *workerState {
 	if gr.Pool != nil {
 		return gr.Pool.get()
@@ -351,25 +337,11 @@ func (gr *Grid) EvaluateContext(ctx context.Context, g *asgraph.Graph) (*Result,
 	}
 	// The unified scheduler (scheduler.go) orders the cell space —
 	// chain-major for incremental grids, identity otherwise — and the
-	// flat evaluator dispatches one scheduled range per task: coarse
-	// enough to amortize dispatch, fine enough to balance load, and
-	// aligned so every RunDelta chain stays within one worker. Ranges
-	// touch disjoint task sets, so the positional accumulator needs no
-	// locking, and the integer counts land in the same positions as the
-	// legacy scheduling — byte-identical results.
-	sched := newSchedule(gr, ax, g)
+	// dispatcher (plan.go) runs one scheduled range per unit. The
+	// integer counts land in the same positions as the legacy
+	// scheduling — byte-identical results.
 	acc := make([]destAcc, ax.tasks)
-	err = runner.ForEach(ctx, sched.numRanges(), gr.Workers, gr.newWorkerState,
-		func(ws *workerState, ri int) {
-			start, end := sched.rangeAt(ri)
-			gr.evaluateRange(ctx, g, ws, sched, nil, start, end, func(ti, lo, hi int) {
-				a := &acc[ti]
-				a.lo += lo
-				a.hi += hi
-				a.pairs++
-			})
-		})
-	if err != nil {
+	if err := gr.flatDispatch(g, newSchedule(gr, ax, g), acc).run(ctx); err != nil {
 		return nil, err
 	}
 	return gr.reduce(g, ax, acc), nil

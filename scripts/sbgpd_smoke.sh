@@ -1,13 +1,17 @@
 #!/bin/sh
 # Endpoint smoke for the resident daemon: build sbgpd, start it on an
 # ephemeral port, submit a small headline grid job over HTTP, wait for
-# completion, fetch the result grid, and shut down cleanly.
+# completion, fetch the result grid, then submit a large job, attach to
+# its event stream, and require SIGTERM to stop the daemon within 2 s.
 set -eu
 
 workdir=$(mktemp -d)
 pid=
+events_pid=
 cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+    for p in "$pid" "$events_pid"; do
+        [ -n "$p" ] && kill "$p" 2>/dev/null || true
+    done
     rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -53,8 +57,44 @@ curl -sS "http://$addr/jobs/$id/result" >"$workdir/result.json"
 grep -q '"graph_n"' "$workdir/result.json" || {
     echo "result grid looks wrong:"; head -c 400 "$workdir/result.json"; exit 1; }
 
+# Shutdown with a client on a running job's event stream: the daemon
+# must release the stream instead of letting the HTTP server wait it
+# out, and the job must be left to resume.
+cat >"$workdir/big.json" <<'JSON'
+{
+  "spec": {
+    "version": 1,
+    "topology": {"n": 4000, "seed": 1},
+    "pairs": {"max_m": 400, "max_d": 400}
+  }
+}
+JSON
+big=$(curl -sS -X POST "http://$addr/jobs" --data-binary @"$workdir/big.json" |
+    sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
+[ -n "$big" ] || { echo "submit of the large job did not return a job id"; exit 1; }
+curl -sN "http://$addr/jobs/$big/events" >"$workdir/events.txt" 2>/dev/null &
+events_pid=$!
+i=0
+while [ $i -lt 200 ] && ! grep -q '"state":"running"' "$workdir/events.txt"; do
+    i=$((i + 1))
+    sleep 0.05
+done
+grep -q '"state":"running"' "$workdir/events.txt" || {
+    echo "large job never reported running:"; cat "$workdir/events.txt"; exit 1; }
+
+now_ms() { echo $(($(date +%s%N) / 1000000)); }
+start=$(now_ms)
 kill -TERM "$pid"
 wait "$pid"
 pid=
-grep -q "stopped" "$workdir/log" || { echo "no clean shutdown:"; cat "$workdir/log"; exit 1; }
-echo "sbgpd smoke OK ($addr, job $id)"
+stop_ms=$(($(now_ms) - start))
+wait "$events_pid" 2>/dev/null || true
+events_pid=
+grep -q "interrupted jobs will resume" "$workdir/log" || { echo "no clean shutdown:"; cat "$workdir/log"; exit 1; }
+if grep -q "http shutdown:" "$workdir/log"; then
+    echo "HTTP shutdown timed out with an events client attached:"; cat "$workdir/log"; exit 1
+fi
+[ "$stop_ms" -lt 2000 ] || {
+    echo "sbgpd took ${stop_ms}ms to stop with an events client attached, want under 2000ms"
+    cat "$workdir/log"; exit 1; }
+echo "sbgpd smoke OK ($addr, jobs $id $big, stop ${stop_ms}ms)"
