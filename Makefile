@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/asgraph
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecord$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzChainPlan$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) .
 
 # bench runs the full benchmark suite at measurement scale.
 bench:

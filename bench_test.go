@@ -548,10 +548,10 @@ func BenchmarkRolloutSeries(b *testing.B) {
 // fine-grained rollout grid as BenchmarkRolloutSeries, with shards
 // small enough (64 cells against 25-step chains × 4 attackers) that
 // every chain crosses many shard boundaries. The chain-major schedule
-// keeps each chain's cells in consecutive shards and hands the tail
-// fixed point across each boundary, so almost no chain head re-runs;
-// the from-scratch variant pays a full engine run for every cell of
-// every shard.
+// keeps each chain's cells in consecutive shards, so a shard re-runs
+// at most one split step from scratch and walks the rest with
+// RunDelta; the from-scratch variant pays a full engine run for every
+// cell of every shard.
 func BenchmarkCrossShardChain(b *testing.B) {
 	g, meta := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
 	tiers := asgraph.Classify(g, meta.CPs, nil)

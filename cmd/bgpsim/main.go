@@ -78,7 +78,7 @@ func main() {
 	jobPath := flag.String("job", "",
 		"evaluate the sweep-grid job described by this JobSpec JSON file and print the grid (replaces the deprecated -sweep grid flags)")
 	verbose := flag.Bool("v", false,
-		"with -sweep or -job: print scheduler planner and handoff stats to stderr")
+		"with -sweep or -job: print scheduler planner and dispatch stats to stderr")
 	flag.Parse()
 
 	if *jobPath != "" {
@@ -244,7 +244,7 @@ func legacySweepSpec(graph string, n int, seed int64, lpk int, deployName, attac
 // printGrid evaluates a job through the one shared path (the same
 // FromJobSpec → Simulate → EvaluateJob pipeline the daemon uses) and
 // prints the result grid as JSON. With verbose set, the scheduler's
-// planner and handoff stats go to stderr — stdout stays byte-identical
+// planner and dispatch stats go to stderr — stdout stays byte-identical
 // grid JSON either way.
 func printGrid(spec *sbgp.JobSpec, verbose bool) error {
 	sc, err := sbgp.FromJobSpec(spec)
@@ -262,9 +262,9 @@ func printGrid(spec *sbgp.JobSpec, verbose bool) error {
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr,
-			"bgpsim: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, handoff %d hits / %d misses\n",
+			"bgpsim: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, mid-walk shard starts %d\n",
 			stats.ChainHeads, stats.DeltaEdges, stats.PredictedVolume,
-			stats.Units, stats.HandoffHits, stats.HandoffMisses)
+			stats.Units, stats.HandoffMisses)
 	}
 	return res.WriteJSON(os.Stdout)
 }

@@ -43,7 +43,7 @@
 // a minimum-cost forest instead of each re-running from scratch. Only
 // axes with no linkable pair fall back to the legacy schedule. Output
 // is byte-identical in every mode; -incremental=off forces the
-// from-scratch order. -v prints the planner and handoff stats of grid
+// from-scratch order. -v prints the planner and dispatch stats of grid
 // evaluations to stderr.
 package main
 
@@ -83,7 +83,7 @@ func main() {
 	jobPath := flag.String("job", "",
 		"run the sweep-grid job described by this JobSpec JSON file and write the grid to -json (replaces the deprecated grid flags)")
 	verbose := flag.Bool("v", false,
-		"print scheduler planner and handoff stats of grid evaluations to stderr")
+		"print scheduler planner and dispatch stats of grid evaluations to stderr")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -180,7 +180,7 @@ func headlineSpec(cfg sbgp.ExperimentConfig, attack string, mode sbgp.Incrementa
 // writeGrid evaluates a job through the one shared path (the same
 // FromJobSpec → Simulate → EvaluateJob pipeline the daemon uses) and
 // writes the result grid to path. With verbose set, the scheduler's
-// planner and handoff stats go to stderr — the grid file stays
+// planner and dispatch stats go to stderr — the grid file stays
 // byte-identical either way.
 func writeGrid(spec *sbgp.JobSpec, path string, verbose bool) error {
 	sc, err := sbgp.FromJobSpec(spec)
@@ -198,9 +198,9 @@ func writeGrid(spec *sbgp.JobSpec, path string, verbose bool) error {
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr,
-			"experiments: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, handoff %d hits / %d misses\n",
+			"experiments: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, mid-walk shard starts %d\n",
 			stats.ChainHeads, stats.DeltaEdges, stats.PredictedVolume,
-			stats.Units, stats.HandoffHits, stats.HandoffMisses)
+			stats.Units, stats.HandoffMisses)
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -26,7 +26,7 @@
 // With -dist the daemon additionally mounts a distributed-sweep
 // coordinator under /dist/v1/ and evaluates every job through remote
 // sbgpworker processes instead of local engine pools: the coordinator
-// cuts the grid into chain-aligned shard leases, re-leases work whose
+// cuts the grid into contiguous shard-range leases, re-leases work whose
 // worker misses its heartbeat deadline, and ingests partials into the
 // same fsync'd per-job checkpoint — so worker loss, duplicate
 // submissions, and daemon restarts all preserve the byte-identity

@@ -1,6 +1,6 @@
 // Command sbgpworker is the distributed-sweep worker: it connects to a
 // coordinator (sbgpd -dist, or anything mounting internal/dist's API
-// under /dist/v1/), pulls chain-aligned shard leases, evaluates them
+// under /dist/v1/), pulls shard-range leases, evaluates them
 // with a local engine pool, and ships exact positional partials back.
 //
 // Usage:

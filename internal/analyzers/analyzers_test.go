@@ -99,6 +99,7 @@ func TestRealTreeClean(t *testing.T) {
 		"(*sbgp/internal/core.Engine).Run",
 		"(*sbgp/internal/core.Engine).RunAttack",
 		"(*sbgp/internal/core.Engine).RunDelta",
+		"(*sbgp/internal/core.Engine).SetModel",
 		"(*sbgp/internal/sweep.Grid).evaluateRange",
 		"(*sbgp/internal/sweep.Grid).evaluateShardPartial",
 		"(*sbgp/internal/sweep.dispatch).unit",

@@ -117,6 +117,10 @@ type Outcome struct {
 	// Next is a representative next hop (the lowest-indexed choice in
 	// the AS's best group); None at origins and unrouted ASes.
 	Next []asgraph.AS
+
+	// model is the security model the outcome was computed under, set
+	// by every run; RunDelta refuses a prev from another model.
+	model policy.Model
 }
 
 // Clone returns an independent copy of the outcome. The copy's arrays
@@ -124,7 +128,7 @@ type Outcome struct {
 // — chained sweeps keep one per in-flight chain — costs one allocation
 // each instead of five.
 func (o *Outcome) Clone() *Outcome {
-	c := &Outcome{Dst: o.Dst, Attacker: o.Attacker}
+	c := &Outcome{Dst: o.Dst, Attacker: o.Attacker, model: o.model}
 	c.attachSlab(len(o.Class))
 	copy(c.Class, o.Class)
 	copy(c.Len, o.Len)

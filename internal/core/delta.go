@@ -84,7 +84,9 @@ func DeploymentDelta(prev, next *Deployment) (added, removed []asgraph.AS) {
 // exactly these lists). A growing rollout passes removed = nil; a
 // shrinking one passes added = nil; a step between two incomparable
 // deployments passes both, a remove-then-add step in a single call.
-// prev may be the engine's own outcome from the immediately preceding
+// prev must have been computed under the engine's current model: a
+// prev from before a SetModel to another model panics. prev may be the
+// engine's own outcome from the immediately preceding
 // run — the common case in rollout chains, and the fastest one.
 //
 // The result is exactly the outcome RunAttack(prev.Dst, prev.Attacker,
@@ -105,6 +107,9 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 	n := e.g.N()
 	if len(prev.Class) != n {
 		panic("core: RunDelta outcome belongs to a different graph")
+	}
+	if prev.model != e.plan.Model {
+		panic("core: RunDelta outcome was computed under another security model")
 	}
 	if atk == nil {
 		atk = DefaultAttack
@@ -209,7 +214,7 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 			e.installPrev(prev)
 			installed = true
 		}
-		e.out.Dst, e.out.Attacker = d, m
+		e.out.Dst, e.out.Attacker, e.out.model = d, m, e.plan.Model
 		// Capture the happy-source counts of prev (the installed base)
 		// before any entry is rewritten; the successful return updates
 		// them from the dirty region so chained walks never re-scan all

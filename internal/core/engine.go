@@ -25,8 +25,12 @@ import (
 //     reads its accumulator instead of re-scanning its in-neighbors, so
 //     each directed edge is visited once per stage rather than twice.
 type Engine struct {
-	g    *asgraph.Graph
-	plan policy.Plan
+	g *asgraph.Graph
+	// plan is the current model's stage schedule, one of plans: every
+	// model's schedule under the engine's local-preference variant is
+	// compiled at construction, so SetModel is a copy, not a compile.
+	plan  policy.Plan
+	plans [policy.NumModels]policy.Plan
 
 	// resolve selects fully deterministic tiebreaking (lowest next-hop
 	// AS index) instead of the three-valued bound labels.
@@ -172,11 +176,11 @@ func NewEngine(g *asgraph.Graph, m policy.Model, opts ...Option) *Engine {
 // local-preference variant (e.g. policy.LP2 for Appendix K).
 func NewEngineLP(g *asgraph.Graph, m policy.Model, lp policy.LocalPref, opts ...Option) *Engine {
 	n := g.N()
-	e := &Engine{
-		g:         g,
-		plan:      policy.PlanFor(m, lp),
-		deltaFrac: DefaultDeltaThreshold,
+	e := &Engine{g: g, deltaFrac: DefaultDeltaThreshold}
+	for i := range e.plans {
+		e.plans[i] = policy.PlanFor(policy.Model(i), lp)
 	}
+	e.SetModel(m)
 	e.out.attachSlab(n)
 	e.attachScratch(n)
 	for _, o := range opts {
@@ -206,6 +210,15 @@ func (e *Engine) HappyBounds() (lo, hi int) {
 
 // Model returns the engine's security model.
 func (e *Engine) Model() policy.Model { return e.plan.Model }
+
+// SetModel switches the engine to security model m without allocating:
+// the engine keeps its graph, local-preference variant, scratch and
+// options, and every later run uses m's stage schedule. An outcome
+// computed before the switch can no longer seed RunDelta (it panics);
+// start the next walk with RunAttack.
+//
+//sbgp:hotpath
+func (e *Engine) SetModel(m policy.Model) { e.plan = e.plans[m] }
 
 // RunNormal computes the routing outcome toward d under normal conditions
 // (no attacker), used for protocol-downgrade accounting and the
@@ -242,7 +255,7 @@ func (e *Engine) RunAttack(d, m asgraph.AS, dep *Deployment, atk Attack) *Outcom
 		atk = DefaultAttack
 	}
 	o := &e.out
-	o.Dst, o.Attacker = d, m
+	o.Dst, o.Attacker, o.model = d, m, e.plan.Model
 	e.happyValid = false
 	e.rollback()
 	e.fixedList = e.fixedList[:0]

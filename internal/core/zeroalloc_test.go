@@ -50,6 +50,26 @@ func TestEngineRunZeroAllocs(t *testing.T) {
 	})
 }
 
+// TestEngineSetModelZeroAllocs: switching models between runs costs
+// no allocation — the schedules are compiled at construction.
+func TestEngineSetModelZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; covered by the non-race CI job")
+	}
+	g, dep := zeroAllocFixture(t)
+	e := NewEngine(g, policy.Sec2nd)
+	for i := 0; i < 24; i++ {
+		e.SetModel(policy.Models[i%policy.NumModels])
+		e.Run(asgraph.AS(i%8+10), asgraph.AS(i%12+100), dep)
+	}
+	i := 0
+	assertZeroAllocs(t, "Engine.SetModel+Run", func() {
+		e.SetModel(policy.Models[i%policy.NumModels])
+		e.Run(asgraph.AS(i%8+10), asgraph.AS(i%12+100), dep)
+		i++
+	})
+}
+
 func TestEngineRunDeltaZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; covered by the non-race CI job")

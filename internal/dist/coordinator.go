@@ -1,7 +1,7 @@
 // Package dist is the distributed half of the sharded sweep evaluator:
 // a coordinator that owns one job's canonical spec, shard layout, and
-// checkpoint, and workers that lease contiguous chain-aligned shard
-// ranges, evaluate them with their own engines, and ship exact integer
+// checkpoint, and workers that lease contiguous shard ranges, evaluate
+// them with their own engines, and ship exact integer
 // partials back. The protocol is built so that the merged grid is
 // byte-identical to a single-box run no matter how many workers
 // participate, which ones die, or how often a partial is re-sent:
@@ -23,9 +23,10 @@
 //     shards the coordinator already has and offers the rest, shipping
 //     only what the coordinator still misses.
 //
-// Leases are cut on chain-aligned unit boundaries (sweep.PlanShards),
-// so RunDelta chains stay local to one worker and cross-shard delta
-// handoff inside a lease is deterministic, exactly as on one box.
+// Every shard is its own dispatch unit (sweep.PlanShards): a shard that
+// starts mid-walk re-runs that step from scratch, so a lease may start
+// and end at any shard and its partials are the bytes a one-box run
+// computes for the same shards.
 package dist
 
 import (
@@ -33,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -58,8 +58,7 @@ var (
 
 // Options tunes a Coordinator.
 type Options struct {
-	// LeaseShards is the target shards per lease (clipped to chain-
-	// aligned unit boundaries). Default 16.
+	// LeaseShards is the most shards one lease covers. Default 16.
 	LeaseShards int
 	// LeaseTTL is the heartbeat deadline: a lease not renewed within it
 	// expires and its shards are re-leased. Default 15s. A held
@@ -96,8 +95,8 @@ func (o Options) maxWait() time.Duration {
 const standbyMillis = 500
 
 // Job describes one distributed evaluation for Coordinator.Run. The
-// caller supplies the planned layout and units (sim.JobShardPlan) and
-// the merge closure; the coordinator owns everything in between.
+// caller supplies the planned layout (sim.JobShardPlan) and the merge
+// closure; the coordinator owns everything in between.
 type Job struct {
 	// SpecJSON is the canonical job spec served to workers so they can
 	// rebuild the identical simulation. Empty is allowed (workers must
@@ -107,10 +106,6 @@ type Job struct {
 	// Layout is the job's shard layout; every protocol exchange is
 	// verified against its fingerprint.
 	Layout *sbgp.ShardLayout
-	// Units are the chain-aligned dispatch units tiling the shard
-	// space, as returned by PlanShards. Leases are cut on their
-	// boundaries.
-	Units []sbgp.ShardRange
 	// Checkpoint, when non-empty, makes ingestion durable: every
 	// accepted partial is an fsync'd record in the single-box
 	// checkpoint format, and Resume loads an existing file's shards as
@@ -138,7 +133,6 @@ type lease struct {
 type activeJob struct {
 	job       Job
 	cw        *sbgp.CheckpointWriter
-	unitStart []int // sorted unit start indices, for lease clipping
 	leases    map[string]*lease
 	nextLease int
 	failed    error
@@ -230,9 +224,6 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sbgp.Result, error) {
 	if job.Layout == nil || job.Merge == nil {
 		return nil, errors.New("dist: job needs a layout and a merge")
 	}
-	if len(job.Units) == 0 {
-		return nil, errors.New("dist: job has no dispatch units")
-	}
 	cw, err := sbgp.OpenCheckpointWriter(job.Checkpoint, job.Layout, job.Resume)
 	if err != nil {
 		return nil, err
@@ -252,9 +243,6 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sbgp.Result, error) {
 		cw:     cw,
 		leases: map[string]*lease{},
 		done:   make(chan struct{}),
-	}
-	for _, u := range job.Units {
-		aj.unitStart = append(aj.unitStart, u.Start)
 	}
 	c.mu.Lock()
 	if c.job != nil {
@@ -389,8 +377,9 @@ type LeaseGrant struct {
 // Lease grants the next pending shard range to a worker (or reports
 // complete/standby). The range starts at the first shard neither
 // ingested nor under an unexpired lease and extends through contiguous
-// such shards up to roughly Options.LeaseShards, clipped to a chain-
-// aligned unit boundary so no RunDelta chain spans two workers.
+// such shards up to Options.LeaseShards. Every shard is its own
+// dispatch unit, so the range may split a RunDelta walk: the worker
+// re-runs the split step from scratch and computes the same bytes.
 func (c *Coordinator) Lease(worker, fingerprint string) (*LeaseGrant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -426,10 +415,8 @@ func (c *Coordinator) Lease(worker, fingerprint string) (*LeaseGrant, error) {
 }
 
 // nextRangeLocked picks the next leasable shard range: the first
-// uncovered shard, extended through contiguous uncovered shards, cut
-// at the last unit boundary within the target size — or through the
-// end of its own unit when the unit alone exceeds the target, so a
-// chain is never split across leases.
+// uncovered shard, extended through contiguous uncovered shards up to
+// the target size.
 func (c *Coordinator) nextRangeLocked(aj *activeJob) (sbgp.ShardRange, bool) {
 	shards := aj.job.Layout.Shards
 	covered := make([]bool, shards)
@@ -458,27 +445,7 @@ func (c *Coordinator) nextRangeLocked(aj *activeJob) (sbgp.ShardRange, bool) {
 	for runEnd < shards && !covered[runEnd] {
 		runEnd++
 	}
-	end := start + c.opts.leaseShards()
-	if end >= runEnd {
-		return sbgp.ShardRange{Start: start, End: runEnd}, true
-	}
-	// Clip to the largest unit start in (start, end]; if the unit
-	// containing start alone exceeds the target, take the whole unit
-	// (bounded by runEnd) rather than split its chains.
-	us := aj.unitStart
-	i := sort.SearchInts(us, end+1) - 1 // largest unit start ≤ end
-	if i >= 0 && us[i] > start {
-		return sbgp.ShardRange{Start: start, End: us[i]}, true
-	}
-	j := sort.SearchInts(us, start+1) // first unit start > start
-	unitEnd := shards
-	if j < len(us) {
-		unitEnd = us[j]
-	}
-	if unitEnd > runEnd {
-		unitEnd = runEnd
-	}
-	return sbgp.ShardRange{Start: start, End: unitEnd}, true
+	return sbgp.ShardRange{Start: start, End: min(runEnd, start+c.opts.leaseShards())}, true
 }
 
 // Heartbeat renews a lease's deadline. ErrUnknownLease means the lease
@@ -753,7 +720,7 @@ func (c *Coordinator) untilExpiry() (d time.Duration, ok bool) {
 // calls it in place of sim.EvaluateJob, with the same checkpoint,
 // resume, and sink semantics and byte-identical results.
 func (c *Coordinator) RunSim(ctx context.Context, sim *sbgp.Simulation, spec *sbgp.JobSpec, checkpoint string, resume bool, sink func(*sbgp.ShardPartial) error) (*sbgp.Result, error) {
-	layout, units, err := sim.JobShardPlan()
+	layout, _, err := sim.JobShardPlan()
 	if err != nil {
 		return nil, err
 	}
@@ -773,7 +740,6 @@ func (c *Coordinator) RunSim(ctx context.Context, sim *sbgp.Simulation, spec *sb
 	return c.Run(ctx, Job{
 		SpecJSON:   specJSON,
 		Layout:     layout,
-		Units:      units,
 		Checkpoint: checkpoint,
 		Resume:     resume,
 		Sink:       sink,

@@ -116,13 +116,12 @@ func chainedGrid(g *sbgp.Graph) *sbgp.Grid {
 func gridJob(t *testing.T, mkGrid func() *sbgp.Grid, g *sbgp.Graph, size int, checkpoint string, resume bool, sink func(*sbgp.ShardPartial) error) (Job, *sbgp.ShardLayout) {
 	t.Helper()
 	gr := mkGrid()
-	layout, units, err := gr.PlanShards(g, size)
+	layout, _, err := gr.PlanShards(g, size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Job{
 		Layout:     layout,
-		Units:      units,
 		Checkpoint: checkpoint,
 		Resume:     resume,
 		Sink:       sink,

@@ -406,9 +406,10 @@ func (s *Server) CheckpointPath(id string) string {
 
 // Status summarizes the daemon for the status endpoint. Sweep totals
 // the planner and dispatch counters of every job evaluated locally
-// since the daemon started: dispatch units, cross-shard handoff
-// hits/misses, and the schedule planner's chain heads, delta edges,
-// and predicted edge-volume summed across evaluations.
+// since the daemon started: dispatch units, mid-walk shard starts
+// (HandoffMisses; HandoffHits stays 0), and the schedule planner's
+// chain heads, delta edges, and predicted edge-volume summed across
+// evaluations.
 type Status struct {
 	Jobs        map[State]int   `json:"jobs"`
 	Topologies  int             `json:"topologies"`

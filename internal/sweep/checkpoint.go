@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -69,7 +70,9 @@ func decodeCheckpointLine(data []byte) (*checkpointHeader, *ShardPartial, error)
 		return nil, nil, err
 	}
 	// Trailing garbage after the JSON object is corruption, not a record.
-	if dec.More() {
+	// More reports false before a stray '}' or ']', so ask for the next
+	// token: only the end of the line is clean.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, nil, fmt.Errorf("trailing data after record")
 	}
 	switch ln.Kind {

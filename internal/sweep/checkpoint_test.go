@@ -2,10 +2,14 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"sbgp/internal/topogen"
 )
 
 // TestOpenCheckpointTruncateReopen unit-tests the torn-tail recovery
@@ -247,4 +251,71 @@ func TestCheckpointWriterIngestion(t *testing.T) {
 	if _, err := OpenCheckpointWriter(path, &foreign, true); err == nil {
 		t.Error("foreign-fingerprint resume succeeded, want an error")
 	}
+}
+
+// TestCheckpointCrashPointSweep simulates a crash at every byte of a
+// real checkpoint. A chained grid is evaluated at two workers into a
+// checkpoint — every shard its own unit, so records land in completion
+// order and many shards start mid-walk — and the file is truncated at
+// each byte offset in turn. Every resume must either reproduce the
+// uninterrupted bytes or fail with an error naming the checkpoint;
+// silently wrong bytes fail the test.
+func TestCheckpointCrashPointSweep(t *testing.T) {
+	g, _ := topogen.MustGenerate(topogen.Params{N: 60, Seed: 17})
+	mkGrid := func(mode IncrementalMode) *Grid {
+		gr := chainedGrid(g, mode)
+		gr.Workers = 2
+		return gr
+	}
+	var want bytes.Buffer
+	if err := mkGrid(IncrementalOff).MustEvaluate(g).WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.ckpt")
+	// 45 is not a multiple of the chain length (4), so shards start
+	// mid-walk.
+	const size = 45
+	if _, err := mkGrid(IncrementalAuto).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size, Checkpoint: full}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(data, []byte("\n")); lines < 5 {
+		t.Fatalf("checkpoint has %d lines, want a header and several shard records", lines)
+	}
+	gr := mkGrid(IncrementalAuto)
+	gr.Pool = NewEnginePool()
+	path := filepath.Join(dir, "crash.ckpt")
+	// Under the race detector every 13th offset is enough to race the
+	// resume path; the plain run covers every byte.
+	step := 1
+	if raceEnabled {
+		step = 13
+	}
+	failed := 0
+	for cut := 0; cut <= len(data); cut += step {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := gr.EvaluateSharded(context.Background(), g, ShardOptions{Checkpoint: path, Resume: true})
+		gr.Pool.Release()
+		if err != nil {
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("cut at byte %d: resume failed with %q, which does not name the checkpoint", cut, err)
+			}
+			failed++
+			continue
+		}
+		var got bytes.Buffer
+		if err := res.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("cut at byte %d of %d: resumed result diverges from the uninterrupted bytes", cut, len(data))
+		}
+	}
+	t.Logf("%d-byte checkpoint cut every %d bytes, %d cuts refused with an error", len(data), step, failed)
 }

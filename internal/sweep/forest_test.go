@@ -3,8 +3,8 @@ package sweep
 // Integration tests for the signed-delta forest schedule: an
 // incomparable deployment axis (the EarlyAdopters/Fig-8 shape) must
 // reproduce the legacy evaluation byte for byte at every worker count
-// and shard size, resume only against its own layout, and hit every
-// cross-shard handoff on a fresh run. The planner-level forest
+// and shard size, resume only against its own layout, and count every
+// mid-walk shard start on a fresh run. The planner-level forest
 // invariants live in incremental_test.go; these tests drive the
 // schedule end to end.
 
@@ -251,9 +251,10 @@ func TestForestLayoutCheckpointCompat(t *testing.T) {
 	}
 }
 
-// TestForestHandoffAndStats pins the handoff and planner stats on a
-// forest schedule: on a fresh run every boundary that cuts a walk is a
-// handoff hit and none miss, and the surfaced planner counters describe
+// TestForestHandoffAndStats pins the dispatch and planner stats on a
+// forest schedule: on a fresh run every shard is one unit, no shard
+// counts a handoff hit, every shard that starts mid-walk on a valid
+// group counts one miss, and the surfaced planner counters describe
 // the forest (fewer heads than deployments, the difference made up in
 // delta edges, and a predicted volume strictly below the identity
 // schedule's all-from-scratch prediction).
@@ -272,20 +273,24 @@ func TestForestHandoffAndStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched := requireForestSchedule(t, gr, g)
-		wantHits := expectedHandoffTakes(gr, ax, sched, size)
-		if wantHits == 0 {
-			t.Fatalf("shard size %d: forest grid exercises no cross-shard handoffs", size)
+		nshards := numShards(ax.cells, size)
+		wantMisses := expectedMidWalkStarts(gr, ax, sched, size, ShardRange{Start: 0, End: nshards})
+		if wantMisses == 0 {
+			t.Fatalf("shard size %d: forest grid starts no shard mid-walk", size)
 		}
 		var stats ShardStats
 		res, err := gr.EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size, Stats: &stats})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.HandoffMisses != 0 {
-			t.Errorf("shard size %d: %d handoff misses on a fresh forest run, want 0", size, stats.HandoffMisses)
+		if stats.HandoffHits != 0 {
+			t.Errorf("shard size %d: %d handoff hits on a forest run, want 0", size, stats.HandoffHits)
 		}
-		if stats.HandoffHits != wantHits {
-			t.Errorf("shard size %d: %d handoff hits, want %d", size, stats.HandoffHits, wantHits)
+		if stats.HandoffMisses != wantMisses {
+			t.Errorf("shard size %d: %d handoff misses, want %d mid-walk shard starts", size, stats.HandoffMisses, wantMisses)
+		}
+		if stats.Units != nshards {
+			t.Errorf("shard size %d: %d units, want one per shard (%d)", size, stats.Units, nshards)
 		}
 		nDeps := len(gr.Deployments)
 		if stats.ChainHeads <= 0 || stats.ChainHeads >= nDeps {

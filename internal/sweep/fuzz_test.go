@@ -22,6 +22,7 @@ func FuzzCheckpointRecord(f *testing.F) {
 		`{"kind":"header","v":2}`,
 		`{"kind":"shard","shard":1,"tasks":[2,1],"lo":[1,1],"hi":[1,1],"pairs":[1,1]}`,
 		`{"kind":"shard","shard":1,"tasks":[1],"lo":[9],"hi":[1],"pairs":[1]}`,
+		`{"kind":"shard","shard":3}}`,
 		`{}`,
 		`null`,
 		`garbage`,

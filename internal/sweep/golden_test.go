@@ -256,8 +256,8 @@ func TestGoldenNestedDeployments(t *testing.T) {
 		// The default mode is incremental: the chain-major scheduler
 		// must reproduce the (non-incremental) golden authority byte
 		// for byte — flat, and sharded at every size, where shard
-		// size 1 cuts every chain at every step and exercises the
-		// cross-shard tail handoff maximally.
+		// size 1 cuts every chain at every step and restarts a walk
+		// in nearly every shard.
 		igr := nestedGrid(g, w, IncrementalAuto)
 		var flat bytes.Buffer
 		if err := igr.MustEvaluate(g).WriteJSON(&flat); err != nil {

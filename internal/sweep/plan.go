@@ -5,8 +5,8 @@ package sweep
 // caller. A Layout is the portable identity of a sharded evaluation —
 // fingerprint plus geometry — and a ShardRange is a contiguous slice of
 // its shard space. PlanShards cuts the scheduled cell space into
-// chain-aligned units (a RunDelta chain never crosses a unit boundary,
-// so leasing whole units keeps delta reuse worker-local);
+// shards, each its own dispatch unit (no state crosses a shard
+// boundary, so any range of shards can be leased to any worker);
 // EvaluateShardRange evaluates any range against a layout it first
 // verifies; MergePartials folds a complete partial set back into the
 // same bytes EvaluateSharded would have produced. Every evaluator —
@@ -97,33 +97,10 @@ func (l *Layout) ValidatePartial(p *ShardPartial) error {
 	return nil
 }
 
-// pendingUnits cuts a sorted list of pending shard indices into
-// dispatch units: maximal runs of consecutive shards split wherever the
-// boundary position is handoff-free. A unit's shards are evaluated in
-// order by one worker, so every boundary *inside* a unit — exactly the
-// boundaries that cut a chain mid-group — has its tail fixed point
-// offered before the continuation runs. That turns cross-shard delta
-// handoff from opportunistic into deterministic: on a fresh run every
-// take hits. Identity schedules have only free boundaries, so units
-// degenerate to single shards and the historical per-shard dispatch.
-func pendingUnits(sched *schedule, pending []int, size int) []ShardRange {
-	var units []ShardRange
-	for i := 0; i < len(pending); {
-		j := i + 1
-		for j < len(pending) && pending[j] == pending[j-1]+1 && !sched.handoffFree(pending[j]*size) {
-			j++
-		}
-		units = append(units, ShardRange{Start: pending[i], End: pending[j-1] + 1})
-		i = j
-	}
-	return units
-}
-
 // PlanShards validates the grid on g and returns its shard Layout plus
-// the chain-aligned dispatch units covering the whole shard space
-// (shardSize ≤ 0 means DefaultShardSize). A coordinator leases whole
-// units — or contiguous runs of them — so RunDelta chains stay local to
-// the worker holding the lease.
+// its dispatch units, one ShardRange per shard, tiling the whole shard
+// space (shardSize ≤ 0 means DefaultShardSize). Every shard is
+// independent, so a coordinator may lease any contiguous run of them.
 func (gr *Grid) PlanShards(g *asgraph.Graph, shardSize int) (*Layout, []ShardRange, error) {
 	ax, err := gr.expand()
 	if err != nil {
@@ -141,11 +118,11 @@ func (gr *Grid) PlanShards(g *asgraph.Graph, shardSize int) (*Layout, []ShardRan
 		ShardSize:   size,
 		Shards:      numShards(ax.cells, size),
 	}
-	all := make([]int, l.Shards)
-	for s := range all {
-		all[s] = s
+	units := make([]ShardRange, l.Shards)
+	for s := range units {
+		units[s] = ShardRange{Start: s, End: s + 1}
 	}
-	return l, pendingUnits(sched, all, size), nil
+	return l, units, nil
 }
 
 // RangeOptions configures EvaluateShardRange.
@@ -155,7 +132,8 @@ type RangeOptions struct {
 	// evaluation. Delivery order is scheduling-dependent.
 	Sink func(*ShardPartial) error
 
-	// Stats, when non-nil, accumulates dispatch and handoff counters.
+	// Stats, when non-nil, accumulates dispatch and mid-walk restart
+	// counters.
 	Stats *ShardStats
 
 	// Pool overrides the grid's EnginePool for this range — the
@@ -196,8 +174,7 @@ func (gr *Grid) EvaluateShardRange(ctx context.Context, g *asgraph.Graph, l *Lay
 	if commit == nil {
 		commit = func(*ShardPartial) error { return nil }
 	}
-	units := pendingUnits(sched, pending, l.ShardSize)
-	return gr.newDispatch(g, sched, l.ShardSize, units, opts.Sink == nil, opts.Stats, commit).run(ctx)
+	return gr.newDispatch(g, sched, l.ShardSize, pending, opts.Sink == nil, opts.Stats, commit).run(ctx)
 }
 
 // MergePartials folds a complete set of shard partials — one per shard
@@ -247,15 +224,14 @@ func fold(acc []destAcc, p *ShardPartial) {
 	}
 }
 
-// dispatch is the one loop that evaluates a grid. Its units fan out
-// over the worker pool, each unit's shards run in order on one worker
-// (so a carried chain tail never crosses a goroutine), and each
-// completed partial is committed serially under mu. A commit error sets
-// failed, which evaluateRange checks wherever it checks ctx, so the
-// remaining shards stop promptly; once either is set, commit is never
-// called again, so a sink that cancels the context sees no further
-// partials. Sharded evaluation cuts shards of size cells; flat
-// evaluation has size 0, where shard s is the schedule's range s.
+// dispatch is the one loop that evaluates a grid. Its shards fan out
+// over the worker pool, one shard per unit, and each completed partial
+// is committed serially under mu. A commit error sets failed, which
+// evaluateRange checks wherever it checks ctx, so the remaining shards
+// stop promptly; once either is set, commit is never called again, so a
+// sink that cancels the context sees no further partials. Sharded
+// evaluation cuts shards of size cells; flat evaluation has size 0,
+// where shard s is the schedule's range s.
 //
 // With reuse set, the partial handed to commit is the worker's own
 // scratch, valid only during the call: pass it only when commit (and
@@ -267,56 +243,55 @@ type dispatch struct {
 	g      *asgraph.Graph
 	sched  *schedule
 	size   int
-	units  []ShardRange
+	shards []int
 	reuse  bool
 	stats  *ShardStats
 	commit func(p *ShardPartial) error
 
 	// Per-run state, reset by run.
-	ctx          context.Context
-	failed       atomic.Bool
-	mu           sync.Mutex
-	err          error
-	hits, misses int
+	ctx      context.Context
+	failed   atomic.Bool
+	mu       sync.Mutex
+	err      error
+	restarts int // committed shards that started mid-walk
 
 	// Method values bound once, so run allocates no func values.
 	newState func() *workerState
 	unitFn   func(ws *workerState, ui int)
 }
 
-func (gr *Grid) newDispatch(g *asgraph.Graph, sched *schedule, size int, units []ShardRange, reuse bool, stats *ShardStats, commit func(p *ShardPartial) error) *dispatch {
-	d := &dispatch{gr: gr, g: g, sched: sched, size: size, units: units, reuse: reuse, stats: stats, commit: commit}
+func (gr *Grid) newDispatch(g *asgraph.Graph, sched *schedule, size int, shards []int, reuse bool, stats *ShardStats, commit func(p *ShardPartial) error) *dispatch {
+	d := &dispatch{gr: gr, g: g, sched: sched, size: size, shards: shards, reuse: reuse, stats: stats, commit: commit}
 	d.newState = gr.newWorkerState
 	d.unitFn = d.unit
 	return d
 }
 
-// flatDispatch is flat evaluation: one single-shard unit per schedule
-// range, no sink, and each range's reusable partial folded into acc.
+// flatDispatch is flat evaluation: one unit per schedule range, no
+// sink, and each range's reusable partial folded into acc.
 func (gr *Grid) flatDispatch(g *asgraph.Graph, sched *schedule, acc []destAcc) *dispatch {
-	units := make([]ShardRange, sched.numRanges())
-	for ri := range units {
-		units[ri] = ShardRange{Start: ri, End: ri + 1}
+	ranges := make([]int, sched.numRanges())
+	for ri := range ranges {
+		ranges[ri] = ri
 	}
-	return gr.newDispatch(g, sched, 0, units, true, nil, func(p *ShardPartial) error {
+	return gr.newDispatch(g, sched, 0, ranges, true, nil, func(p *ShardPartial) error {
 		fold(acc, p)
 		return nil
 	})
 }
 
-// run evaluates every unit, returning the first commit error, else
+// run evaluates every shard, returning the first commit error, else
 // ctx.Err().
 func (d *dispatch) run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	d.ctx, d.err, d.hits, d.misses = ctx, nil, 0, 0
+	d.ctx, d.err, d.restarts = ctx, nil, 0
 	d.failed.Store(false)
-	err := runner.ForEach(ctx, len(d.units), d.gr.Workers, d.newState, d.unitFn)
+	err := runner.ForEach(ctx, len(d.shards), d.gr.Workers, d.newState, d.unitFn)
 	if d.stats != nil {
-		d.stats.Units += len(d.units)
-		d.stats.HandoffHits += d.hits
-		d.stats.HandoffMisses += d.misses
+		d.stats.Units += len(d.shards)
+		d.stats.HandoffMisses += d.restarts
 		// Planner fields describe the schedule itself, not this dispatch:
 		// assignment, not accumulation, so re-evaluating the same layout
 		// (resume, range leases) reports the same plan.
@@ -330,44 +305,30 @@ func (d *dispatch) run(ctx context.Context) error {
 	return err
 }
 
-// unit evaluates dispatch unit ui's shards in order and commits each.
+// unit evaluates shard d.shards[i] and commits it.
 //
 //sbgp:hotpath
-func (d *dispatch) unit(ws *workerState, ui int) {
-	u := d.units[ui]
-	// Chain tail carry across the unit's interior shard boundaries
-	// (chain-major schedules only), reset per unit.
-	var c *carry
-	if !d.sched.identity() {
-		c = &ws.chainCarry
-		c.reset()
+func (d *dispatch) unit(ws *workerState, i int) {
+	s := d.shards[i]
+	start, end := s*d.size, min((s+1)*d.size, d.sched.ax.cells)
+	if d.size == 0 {
+		start, end = d.sched.rangeAt(s)
 	}
-	for s := u.Start; s < u.End; s++ {
-		start, end := s*d.size, min((s+1)*d.size, d.sched.ax.cells)
-		if d.size == 0 {
-			start, end = d.sched.rangeAt(s)
-		}
-		p, ok := d.gr.evaluateShardPartial(d.ctx, &d.failed, d.g, ws, d.sched, c, s, start, end, d.reuse)
-		if !ok {
-			break
-		}
-		d.mu.Lock()
-		if d.failed.Load() || d.ctx.Err() != nil {
-			d.mu.Unlock()
-			break
-		}
-		if err := d.commit(p); err != nil {
-			d.err = err
-			d.failed.Store(true)
-			d.mu.Unlock()
-			break
-		}
-		d.mu.Unlock()
+	p, ok := d.gr.evaluateShardPartial(d.ctx, &d.failed, d.g, ws, d.sched, s, start, end, d.reuse)
+	if !ok {
+		return
 	}
-	if c != nil && (c.hits != 0 || c.misses != 0) {
-		d.mu.Lock()
-		d.hits += c.hits
-		d.misses += c.misses
-		d.mu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.failed.Load() || d.ctx.Err() != nil {
+		return
+	}
+	if err := d.commit(p); err != nil {
+		d.err = err
+		d.failed.Store(true)
+		return
+	}
+	if ws.acc.midWalk {
+		d.restarts++
 	}
 }

@@ -56,9 +56,7 @@ func TestDispatchRerunAfterCommitError(t *testing.T) {
 }
 
 // TestPlanShardsUnits pins the planning contract: the layout geometry
-// is self-consistent, the units tile the shard space exactly, every
-// unit boundary is handoff-free (a lease cut there splits no chain),
-// and every boundary interior to a unit is not (cutting there would).
+// is self-consistent and the units tile the shard space one shard each.
 func TestPlanShardsUnits(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 23})
 	for _, size := range []int{1, 3, 7} {
@@ -74,33 +72,23 @@ func TestPlanShardsUnits(t *testing.T) {
 		if l.Cells != ax.cells || l.Tasks != ax.tasks || l.ShardSize != size || l.Shards != numShards(ax.cells, size) {
 			t.Fatalf("size %d: layout %+v inconsistent with grid (cells=%d tasks=%d)", size, l, ax.cells, ax.tasks)
 		}
-		sched := newSchedule(gr, ax, g)
-		next := 0
-		for _, u := range units {
-			if u.Start != next || u.End <= u.Start {
-				t.Fatalf("size %d: unit %+v does not continue tiling at %d", size, u, next)
-			}
-			if !sched.handoffFree(u.Start * size) {
-				t.Errorf("size %d: unit boundary at shard %d cuts a chain", size, u.Start)
-			}
-			for s := u.Start + 1; s < u.End; s++ {
-				if sched.handoffFree(s * size) {
-					t.Errorf("size %d: interior boundary at shard %d is handoff-free (unit should have split)", size, s)
-				}
-			}
-			next = u.End
+		if len(units) != l.Shards {
+			t.Fatalf("size %d: %d units, want one per shard (%d)", size, len(units), l.Shards)
 		}
-		if next != l.Shards {
-			t.Fatalf("size %d: units end at %d, want %d", size, next, l.Shards)
+		for s, u := range units {
+			if u != (ShardRange{Start: s, End: s + 1}) {
+				t.Fatalf("size %d: unit %d is %+v, want [%d,%d)", size, s, u, s, s+1)
+			}
 		}
 	}
 }
 
 // TestShardRangeMergeEquivalence is the distributed split in
-// miniature: three disjoint worker ranges evaluated independently
-// (each with its own engine state) and merged must reproduce the
-// single-box sharded evaluation — itself pinned to the flat evaluator
-// — byte for byte, with zero handoff misses inside each range.
+// miniature: three disjoint worker ranges, cut at boundaries that split
+// RunDelta walks, evaluated independently (each with its own engine
+// state) and merged must reproduce the single-box sharded evaluation —
+// itself pinned to the flat evaluator — byte for byte. Each range
+// reports exactly its own mid-walk shard starts as misses.
 func TestShardRangeMergeEquivalence(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	var want bytes.Buffer
@@ -109,19 +97,30 @@ func TestShardRangeMergeEquivalence(t *testing.T) {
 	}
 	for _, size := range []int{2, 5} {
 		gr := chainedGrid(g, IncrementalAuto)
-		l, units, err := gr.PlanShards(g, size)
+		l, _, err := gr.PlanShards(g, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(units) < 3 {
-			t.Fatalf("size %d: only %d units, test wants ≥3 worker ranges", size, len(units))
+		ax, err := gr.expand()
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Cut the unit list into three contiguous worker ranges on unit
-		// boundaries, like a coordinator leasing thirds of the grid.
-		cuts := []int{0, len(units) / 3, 2 * len(units) / 3, len(units)}
+		sched := newSchedule(gr, ax, g)
+		// Cut the shard space into three worker ranges, moving each cut
+		// forward to the next boundary that splits a walk, like a
+		// coordinator leasing thirds of the grid without regard to walks.
+		cuts := []int{0, l.Shards / 3, 2 * l.Shards / 3, l.Shards}
+		for i := 1; i <= 2; i++ {
+			for cuts[i] < l.Shards && sched.handoffFree(cuts[i]*size) {
+				cuts[i]++
+			}
+			if cuts[i] >= cuts[i+1] || sched.handoffFree(cuts[i]*size) {
+				t.Fatalf("size %d: no walk-splitting cut near shard %d", size, cuts[i])
+			}
+		}
 		var partials []*ShardPartial
 		for w := 0; w < 3; w++ {
-			r := ShardRange{Start: units[cuts[w]].Start, End: units[cuts[w+1]-1].End}
+			r := ShardRange{Start: cuts[w], End: cuts[w+1]}
 			// Each "worker" is a fresh grid value: no shared engine
 			// state, as across machines.
 			wgr := chainedGrid(g, IncrementalAuto)
@@ -136,8 +135,11 @@ func TestShardRangeMergeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.HandoffMisses != 0 {
-				t.Errorf("size %d worker %d: %d handoff misses inside a leased range", size, w, stats.HandoffMisses)
+			if want := expectedMidWalkStarts(gr, ax, sched, size, r); stats.HandoffMisses != want || stats.HandoffHits != 0 {
+				t.Errorf("size %d worker %d: %d hits / %d misses, want 0 / %d", size, w, stats.HandoffHits, stats.HandoffMisses, want)
+			}
+			if stats.Units != r.Len() {
+				t.Errorf("size %d worker %d: %d units, want %d", size, w, stats.Units, r.Len())
 			}
 		}
 		res, err := gr.MergePartials(g, l, partials)

@@ -25,13 +25,12 @@ package sweep
 //     shard accumulator. Partials stay positional, so results remain
 //     byte-identical to the unscheduled evaluation at every worker
 //     count and shard size.
-//   - Where a shard boundary does split a chain, the worker carries the
-//     chain's tail fixed point across the boundary and resumes with
-//     RunDelta instead of re-running the head. The unit dispatcher
-//     (plan.go) cuts dispatch units only at handoff-free boundaries, so
-//     every split boundary is interior to one unit — the producer and
-//     consumer of a carried fixed point are always the same goroutine,
-//     and the carry needs no lock, no map, and no defensive clone.
+//   - Where a shard boundary does split a chain, the shard holding the
+//     continuation runs its first step with RunAttack on that step's
+//     deployment and continues with RunDelta. That is exact, because
+//     RunDelta equals RunAttack, and it costs one engine run per shard,
+//     so every shard is an independent dispatch unit: no fixed point
+//     ever crosses a shard boundary, a goroutine, or a machine.
 
 import (
 	"context"
@@ -107,23 +106,6 @@ func (s *schedule) chainAt(p int) int {
 	return sort.SearchInts(s.blockStart[1:], p+1)
 }
 
-// handoffFree reports whether a cut at scheduled position p splits no
-// group run: position p starts a fresh (chain, model, destination,
-// attacker) group, so no chain tail fixed point needs to cross a shard
-// boundary placed there. On the identity schedule there are no group
-// runs and every boundary is free; chain-major boundaries are free
-// exactly when p is a multiple of the chain length within its block.
-// The shard dispatcher cuts its chain-ordered units at free boundaries,
-// which is what makes handoff reuse deterministic instead of
-// opportunistic.
-func (s *schedule) handoffFree(p int) bool {
-	if s.plan == nil {
-		return true
-	}
-	ci := s.chainAt(p)
-	return (p-s.blockStart[ci])%len(s.plan.chains[ci]) == 0
-}
-
 // numRanges returns how many one-shard units flat evaluation cuts the
 // schedule into: one per (deployment, model, destination) task on the
 // identity schedule — the historical granularity — and one per (chain,
@@ -150,65 +132,21 @@ func (s *schedule) rangeAt(ri int) (start, end int) {
 	return start, start + s.ax.na*clen
 }
 
-// carry hands a chain's tail fixed point from one shard to the next
-// within a dispatch unit. Units are cut at handoff-free boundaries
-// (plan.go), so the shard that is cut off mid-chain and the shard that
-// continues it are always evaluated back to back by the same worker:
-// the carried Outcome is the engine-owned fixed point itself — no
-// clone — and it stays valid because nothing runs on that engine
-// between the offer at one shard's end and the take at the next
-// shard's start. The continuation then resumes with RunDelta on the
-// very outcome the engine already holds, which is its in-place fast
-// path. A carry is worker-owned scratch; it must never be shared
-// across goroutines.
-type carry struct {
-	pos int           // scheduled position the carried outcome continues at
-	out *core.Outcome // engine-owned tail fixed point, nil when empty
-	// hits counts takes that found a carried fixed point; misses counts
-	// takes that had to re-run the chain head from scratch. With
-	// chain-ordered unit dispatch every boundary cut mid-chain is
-	// evaluated offer-before-take, so misses stays zero on fresh runs —
-	// the counters make that claim testable. (Resumed runs can miss at
-	// unit starts whose predecessor shard completed in an earlier run.)
-	hits, misses int
-}
-
-// reset clears the carry for a new dispatch unit.
-func (c *carry) reset() { *c = carry{} }
-
-// take returns the fixed point carried to scheduled position pos, or
-// nil — counting the hit or miss — and empties the carry.
-func (c *carry) take(pos int) *core.Outcome {
-	if c.out != nil && c.pos == pos {
-		o := c.out
-		c.out = nil
-		c.hits++
-		return o
-	}
-	c.out = nil
-	c.misses++
-	return nil
-}
-
-// offer stores the tail fixed point a continuation at scheduled
-// position pos will resume from.
-func (c *carry) offer(pos int, o *core.Outcome) {
-	c.pos, c.out = pos, o
-}
-
 // evaluateRange evaluates the scheduled positions [start, end), adding
 // each valid (attacker ≠ destination) cell's exact integer happy bounds
 // to the worker's shard accumulator. Cells are visited in scheduled
 // order; on a chain-major schedule each group run reuses the
 // previous step's fixed point via RunDelta — replaying the step's
 // removed-then-added signed delta in one call, so forest walks that
-// shrink a deployment ride the same path as grow-only chains — and the
-// carry, when given, bridges runs cut by the range boundary. It reports
-// false if ctx was cancelled or stop was set (a failed commit), in
-// which case the accumulated counts must be discarded.
+// shrink a deployment ride the same path as grow-only chains. A range
+// that starts mid-walk on a valid group runs that step with RunAttack
+// and records the restart in the accumulator (ShardStats'
+// HandoffMisses). It reports false if ctx was cancelled or stop was
+// set (a failed commit), in which case the accumulated counts must be
+// discarded.
 //
 //sbgp:hotpath
-func (gr *Grid) evaluateRange(ctx context.Context, stop *atomic.Bool, g *asgraph.Graph, ws *workerState, s *schedule, c *carry, start, end int) bool {
+func (gr *Grid) evaluateRange(ctx context.Context, stop *atomic.Bool, g *asgraph.Graph, ws *workerState, s *schedule, start, end int) bool {
 	ax := s.ax
 	if s.plan == nil {
 		// Identity: one RunAttack per cell, grouped by task.
@@ -267,10 +205,10 @@ func (gr *Grid) evaluateRange(ctx context.Context, stop *atomic.Bool, g *asgraph
 			continue
 		}
 		e := ws.engine(g, ax.models[mi], gr.LP)
-		var prev *core.Outcome
-		if pos0 > 0 && c != nil {
-			prev = c.take(p)
+		if pos0 > 0 {
+			ws.acc.midWalk = true
 		}
+		var prev *core.Outcome
 		posEnd := pos0 + (p1 - p)
 		for pos := pos0; pos < posEnd; pos++ {
 			// A group run covers up to a whole chain of engine runs —
@@ -288,9 +226,6 @@ func (gr *Grid) evaluateRange(ctx context.Context, stop *atomic.Bool, g *asgraph
 			}
 			lo, hi := e.HappyBounds()
 			ws.acc.add((step.si*ax.nm+mi)*ax.nd+di, lo, hi)
-		}
-		if c != nil && p1 == end && p1 < gEnd {
-			c.offer(p1, prev)
 		}
 		p = p1
 	}

@@ -195,10 +195,9 @@ func TestScheduleLayoutCheckpointCompat(t *testing.T) {
 // TestChainMajorInterruptResume interrupts a chain-major sharded run
 // mid-flight (real 4-step chains, single-cell shards so nearly every
 // chain step sits at a shard boundary) and resumes it: the resumed run
-// re-evaluates only the missing shards — whose chains restart from
-// whatever heads the checkpoint gap dictates, with no handoffs offered
-// by the skipped shards — and must still land on the uninterrupted
-// bytes exactly.
+// re-evaluates only the missing shards — each restarting its first
+// walk from scratch — and must still land on the uninterrupted bytes
+// exactly.
 func TestChainMajorInterruptResume(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 23})
 	var want bytes.Buffer
@@ -241,13 +240,26 @@ func TestChainMajorInterruptResume(t *testing.T) {
 	}
 }
 
-// expectedHandoffTakes counts the shard boundaries of a fresh sharded
-// run that cut a chain group mid-walk for a valid (m ≠ d) pair — each
-// one is exactly one handoff take, and with chain-ordered unit dispatch
-// each must be a hit.
-func expectedHandoffTakes(gr *Grid, ax *axes, sched *schedule, size int) int {
-	takes := 0
-	for s := 1; s < numShards(ax.cells, size); s++ {
+// handoffFree reports whether a cut at scheduled position p splits no
+// group run: position p starts a fresh (chain, model, destination,
+// attacker) group. On the identity schedule every position is free;
+// chain-major positions are free exactly when p is a multiple of the
+// chain length within its block.
+func (s *schedule) handoffFree(p int) bool {
+	if s.plan == nil {
+		return true
+	}
+	ci := s.chainAt(p)
+	return (p-s.blockStart[ci])%len(s.plan.chains[ci]) == 0
+}
+
+// expectedMidWalkStarts counts the shards of r whose first position
+// cuts a chain group mid-walk for a valid (m ≠ d) pair. Each such shard
+// re-runs that step with RunAttack, and the dispatcher reports exactly
+// this count as ShardStats.HandoffMisses.
+func expectedMidWalkStarts(gr *Grid, ax *axes, sched *schedule, size int, r ShardRange) int {
+	starts := 0
+	for s := r.Start; s < r.End; s++ {
 		p := s * size
 		if sched.handoffFree(p) {
 			continue
@@ -260,18 +272,19 @@ func expectedHandoffTakes(gr *Grid, ax *axes, sched *schedule, size int) int {
 		if gr.Attackers[ai] == gr.Destinations[di] {
 			continue
 		}
-		takes++
+		starts++
 	}
-	return takes
+	return starts
 }
 
-// TestCrossShardHandoffEquivalence drives the tail handoff hard: shard
-// sizes that cut every chain mid-walk (including size 1, where every
-// cell is its own shard and every chain step crosses a boundary) must
-// reproduce the flat evaluation byte for byte, with and without a
-// checkpoint in the loop. The stats assertions pin the deterministic
-// dispatch contract: on a fresh run every boundary that cuts a chain is
-// interior to one dispatch unit, so every take hits and none misses.
+// TestCrossShardHandoffEquivalence drives mid-walk shard starts hard:
+// shard sizes that cut every chain mid-walk (including size 1, where
+// every cell is its own shard and every chain step crosses a boundary)
+// must reproduce the flat evaluation byte for byte, with and without a
+// checkpoint in the loop. The stats assertions pin the dispatch
+// contract: every shard is its own unit, no fixed point crosses a
+// boundary (no hits), and every shard that starts mid-walk on a valid
+// group is counted once as a miss.
 func TestCrossShardHandoffEquivalence(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	var want bytes.Buffer
@@ -285,23 +298,24 @@ func TestCrossShardHandoffEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched := newSchedule(gr, ax, g)
-		wantHits := expectedHandoffTakes(gr, ax, sched, size)
-		if wantHits == 0 {
-			t.Fatalf("shard size %d: test grid exercises no cross-shard handoffs", size)
+		nshards := numShards(ax.cells, size)
+		wantMisses := expectedMidWalkStarts(gr, ax, sched, size, ShardRange{Start: 0, End: nshards})
+		if wantMisses == 0 {
+			t.Fatalf("shard size %d: test grid starts no shard mid-walk", size)
 		}
 		var stats ShardStats
 		res, err := gr.EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size, Stats: &stats})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.HandoffMisses != 0 {
-			t.Errorf("shard size %d: %d handoff misses on a fresh run, want 0", size, stats.HandoffMisses)
+		if stats.HandoffHits != 0 {
+			t.Errorf("shard size %d: %d handoff hits, want 0", size, stats.HandoffHits)
 		}
-		if stats.HandoffHits != wantHits {
-			t.Errorf("shard size %d: %d handoff hits, want %d", size, stats.HandoffHits, wantHits)
+		if stats.HandoffMisses != wantMisses {
+			t.Errorf("shard size %d: %d handoff misses, want %d mid-walk shard starts", size, stats.HandoffMisses, wantMisses)
 		}
-		if stats.Units <= 0 || stats.Units > numShards(ax.cells, size) {
-			t.Errorf("shard size %d: implausible unit count %d", size, stats.Units)
+		if stats.Units != nshards {
+			t.Errorf("shard size %d: %d units, want one per shard (%d)", size, stats.Units, nshards)
 		}
 		var got bytes.Buffer
 		if err := res.WriteJSON(&got); err != nil {

@@ -50,28 +50,27 @@ type ShardOptions struct {
 	// only the merged Result is deterministic.
 	Sink func(*ShardPartial) error
 
-	// Stats, when non-nil, accumulates dispatch-unit and handoff
+	// Stats, when non-nil, accumulates dispatch and mid-walk restart
 	// counters for the evaluation.
 	Stats *ShardStats
 }
 
 // ShardStats reports how a sharded evaluation was planned and
-// dispatched, and how often cross-shard chain handoff reused a fixed
-// point instead of re-running a chain head. With chain-ordered unit
-// dispatch, a fresh run (no resumed shards) has HandoffMisses == 0 by
-// construction; a resume can miss at unit starts whose predecessor
-// shard completed in an earlier run. The dispatch and handoff counters
-// accumulate across evaluations sharing the struct; the planner fields
-// describe the schedule and are (re)set by each evaluation.
+// dispatched. Every shard is its own dispatch unit, and a shard whose
+// first cell falls mid-walk re-runs that step from scratch, so the
+// restart count is a deterministic function of the layout and the
+// shards evaluated. The dispatch counters accumulate across evaluations
+// sharing the struct; the planner fields describe the schedule and are
+// (re)set by each evaluation.
 type ShardStats struct {
-	// Units is the number of dispatch units the pending shards were cut
-	// into (see pendingUnits).
+	// Units is the number of dispatch units evaluated: one per shard.
 	Units int `json:"units"`
-	// HandoffHits counts chain continuations that resumed from an
-	// offered tail fixed point via RunDelta.
+	// HandoffHits is always 0: no fixed point crosses a shard boundary.
+	// The field stays for readers of the stats JSON.
 	HandoffHits int `json:"handoff_hits"`
-	// HandoffMisses counts chain continuations that re-ran their head
-	// from scratch because no fixed point had been offered yet.
+	// HandoffMisses counts evaluated shards that started mid-walk on a
+	// valid (attacker ≠ destination) group and so ran that step with
+	// RunAttack instead of RunDelta.
 	HandoffMisses int `json:"handoff_misses"`
 
 	// ChainHeads is the number of from-scratch walk heads per (model,
@@ -226,6 +225,9 @@ type shardAcc struct {
 	stamp         []uint32
 	cur           uint32
 	touched       []int
+	// midWalk records that the shard started mid-walk on a valid group
+	// and re-ran that step from scratch.
+	midWalk bool
 }
 
 // begin readies the accumulator for a shard over a task space of the
@@ -245,6 +247,7 @@ func (a *shardAcc) begin(tasks int) {
 		a.cur = 1
 	}
 	a.touched = a.touched[:0]
+	a.midWalk = false
 }
 
 // add folds one cell's exact bounds into its task slot.
@@ -272,10 +275,10 @@ func (a *shardAcc) add(ti, lo, hi int) {
 // (incomplete) partial must be discarded.
 //
 //sbgp:hotpath
-func (gr *Grid) evaluateShardPartial(ctx context.Context, stop *atomic.Bool, g *asgraph.Graph, ws *workerState, sched *schedule, c *carry, shard, start, end int, reuse bool) (p *ShardPartial, ok bool) {
+func (gr *Grid) evaluateShardPartial(ctx context.Context, stop *atomic.Bool, g *asgraph.Graph, ws *workerState, sched *schedule, shard, start, end int, reuse bool) (p *ShardPartial, ok bool) {
 	a := &ws.acc
 	a.begin(sched.ax.tasks)
-	if !gr.evaluateRange(ctx, stop, g, ws, sched, c, start, end) {
+	if !gr.evaluateRange(ctx, stop, g, ws, sched, start, end) {
 		return nil, false
 	}
 	slices.Sort(a.touched)
@@ -306,9 +309,10 @@ func (gr *Grid) evaluateShardPartial(ctx context.Context, stop *atomic.Bool, g *
 // partitioned into fixed-size shards of the *scheduled* (deployment ×
 // model × destination × attacker) cell space: incremental grids order
 // the cells chain-major before the shards are cut, so a RunDelta chain
-// occupies consecutive shards (with tail fixed points handed across the
-// boundaries) instead of scattering one cell into every shard. Shards
-// are dispatched to the worker pool with per-worker engine reuse; each
+// occupies consecutive shards (a shard starting mid-walk re-runs one
+// step from scratch) instead of scattering one cell into every shard.
+// Each shard is dispatched to the worker pool on its own, with
+// per-worker engine reuse; each
 // completed shard's exact integer partial is streamed to the checkpoint
 // file and sink, and all partials are merged positionally, so the
 // Result is byte-identical to EvaluateContext at every worker count and
@@ -377,14 +381,13 @@ func (gr *Grid) EvaluateSharded(ctx context.Context, g *asgraph.Graph, opts Shar
 		}
 	}
 
-	// The dispatcher (plan.go) runs the pending shards as chain-ordered
-	// units and commits each completed partial — checkpoint record
+	// The dispatcher (plan.go) runs each pending shard as its own unit
+	// and commits each completed partial — checkpoint record
 	// first, then sink, then the fold — exactly as the distributed range
 	// evaluator does. The checkpoint writer marshals immediately and the
 	// fold copies the counts out, so the partial may be worker-owned
 	// scratch unless a Sink (which may retain what it sees) is present.
-	units := pendingUnits(sched, pending, size)
-	err = gr.newDispatch(g, sched, size, units, opts.Sink == nil, opts.Stats,
+	err = gr.newDispatch(g, sched, size, pending, opts.Sink == nil, opts.Stats,
 		func(p *ShardPartial) error {
 			if cp != nil {
 				if err := cp.append(p); err != nil {

@@ -270,13 +270,13 @@ func (gr *Grid) attackName() string {
 }
 
 // workerState is the per-worker scratch of grid evaluation: one lazily
-// built engine per security model, plus the dispatcher's reusable
-// accumulator, partial, and chain carry. The engine's epoch reset makes
-// reuse across deployments and destinations cheap, and the shard
-// scratch makes the steady-state loop allocation-free — an EnginePool
-// recycles the whole state, engines and scratch alike.
+// built engine, switched between security models with SetModel, plus
+// the dispatcher's reusable accumulator and partial. The engine's epoch
+// reset makes reuse across deployments, models and destinations cheap,
+// and the shard scratch makes the steady-state loop allocation-free —
+// an EnginePool recycles the whole state, engine and scratch alike.
 type workerState struct {
-	engines [policy.NumModels]*core.Engine
+	eng *core.Engine
 
 	// acc is the per-shard task accumulator (epoch-stamped, so a new
 	// shard needs no O(tasks) clear).
@@ -286,19 +286,17 @@ type workerState struct {
 	// when the caller retains nothing past the commit (see dispatch's
 	// reuse contract).
 	partial ShardPartial
-
-	// chainCarry hands chain-tail fixed points across the shard
-	// boundaries interior to one dispatch unit.
-	chainCarry carry
 }
 
+// engine returns the worker's engine set to model. Every walk starts
+// with RunAttack, so no RunDelta ever spans a model switch.
 func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.LocalPref) *core.Engine {
-	e := ws.engines[model]
-	if e == nil {
-		e = core.NewEngineLP(g, model, lp)
-		ws.engines[model] = e
+	if ws.eng == nil {
+		ws.eng = core.NewEngineLP(g, model, lp)
+	} else {
+		ws.eng.SetModel(model)
 	}
-	return e
+	return ws.eng
 }
 
 // newWorkerState is the dispatcher's worker-state factory: fresh

@@ -52,7 +52,9 @@ type allocCase struct {
 }
 
 // allocCases covers both schedules: the identity order, the chain-major
-// order with its cross-shard tail carry, and a signed-delta forest.
+// order with its mid-walk shard starts, the same order over all three
+// models (so every worker's one engine switches models between walks),
+// and a signed-delta forest.
 //
 // The sharded budgets allow per-evaluation overhead (axes, schedule,
 // accumulator, dispatch, reduce); it does not scale with the shard
@@ -76,6 +78,13 @@ func allocCases(g *asgraph.Graph) []allocCase {
 			Deployments:  rolloutDeployments(g, 6),
 			Attackers:    all[:16],
 			Destinations: all[:16],
+			Incremental:  IncrementalAuto,
+			Workers:      1,
+		}, 100},
+		{"chain-major-models", &Grid{
+			Deployments:  rolloutDeployments(g, 6),
+			Attackers:    all[:12],
+			Destinations: all[:12],
 			Incremental:  IncrementalAuto,
 			Workers:      1,
 		}, 100},
@@ -112,7 +121,7 @@ func TestShardLoopZeroAllocs(t *testing.T) {
 			gr := tc.grid
 			gr.Pool = NewEnginePool()
 			// Shard size 3 cuts chains mid-walk, so the chain-major pass
-			// exercises the tail carry on nearly every boundary.
+			// restarts a walk on nearly every boundary.
 			opts := ShardOptions{ShardSize: 3}
 			nshards, err := gr.CellCount()
 			if err != nil {

@@ -274,9 +274,17 @@ func (s *JobSpec) Canonical() *JobSpec {
 	if len(c.Models) == 0 {
 		c.Models = []int{1, 2, 3}
 	}
+	// An empty list and an absent one are the same job, and the wire
+	// form omits both.
+	if len(c.Deployments) == 0 {
+		c.Deployments = nil
+	}
 	for i := range c.Deployments {
 		if c.Deployments[i].Name == "" {
 			c.Deployments[i].Name = c.Deployments[i].Named
+		}
+		if sp := c.Deployments[i].Spec; sp != nil && len(sp.CPs) == 0 {
+			sp.CPs = nil
 		}
 	}
 	if a, err := ParseAttack(c.Attack); err == nil {
@@ -313,7 +321,9 @@ func ReadJobSpec(r io.Reader) (*JobSpec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("sbgp: job spec: %w", err)
 	}
-	if dec.More() {
+	// More reports false before a stray '}' or ']', so ask for the
+	// next token: only the end of the input is clean.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("sbgp: job spec: trailing data after the spec object")
 	}
 	if err := s.Validate(); err != nil {

@@ -405,8 +405,10 @@ type ShardLayout = sweep.Layout
 // unit of distributed leasing.
 type ShardRange = sweep.ShardRange
 
-// ShardStats reports dispatch-unit and cross-shard handoff counters
-// for a sharded or ranged evaluation.
+// ShardStats reports the schedule's planner counters and the dispatch
+// counters of a sharded or ranged evaluation: one dispatch unit per
+// shard, and HandoffMisses shards that started mid-walk and re-ran that
+// step from scratch. HandoffHits is always 0.
 type ShardStats = sweep.ShardStats
 
 // ShardRangeOptions configures Grid range evaluation

@@ -2,14 +2,16 @@
 # Endpoint smoke for the resident daemon: build sbgpd, start it on an
 # ephemeral port, submit a small headline grid job over HTTP, wait for
 # completion, fetch the result grid, then submit a large job, attach to
-# its event stream, and require SIGTERM to stop the daemon within 2 s.
+# its event stream and its /wait endpoint, and require SIGTERM to stop
+# the daemon within 2 s.
 set -eu
 
 workdir=$(mktemp -d)
 pid=
 events_pid=
+wait_pid=
 cleanup() {
-    for p in "$pid" "$events_pid"; do
+    for p in "$pid" "$events_pid" "$wait_pid"; do
         [ -n "$p" ] && kill "$p" 2>/dev/null || true
     done
     rm -rf "$workdir"
@@ -57,8 +59,8 @@ curl -sS "http://$addr/jobs/$id/result" >"$workdir/result.json"
 grep -q '"graph_n"' "$workdir/result.json" || {
     echo "result grid looks wrong:"; head -c 400 "$workdir/result.json"; exit 1; }
 
-# Shutdown with a client on a running job's event stream: the daemon
-# must release the stream instead of letting the HTTP server wait it
+# Shutdown with clients on a running job's event stream and /wait: the
+# daemon must release both instead of letting the HTTP server wait them
 # out, and the job must be left to resume.
 cat >"$workdir/big.json" <<'JSON'
 {
@@ -81,6 +83,20 @@ while [ $i -lt 200 ] && ! grep -q '"state":"running"' "$workdir/events.txt"; do
 done
 grep -q '"state":"running"' "$workdir/events.txt" || {
     echo "large job never reported running:"; cat "$workdir/events.txt"; exit 1; }
+# Hold /wait on the running job; curl -v logs the request line once it
+# is sent.
+curl -sSv "http://$addr/jobs/$big/wait" >"$workdir/wait.json" 2>"$workdir/wait.log" &
+wait_pid=$!
+i=0
+while [ $i -lt 100 ] && ! grep -q "GET /jobs/$big/wait" "$workdir/wait.log" 2>/dev/null; do
+    i=$((i + 1))
+    sleep 0.05
+done
+grep -q "GET /jobs/$big/wait" "$workdir/wait.log" || {
+    echo "wait request was never sent:"; cat "$workdir/wait.log"; exit 1; }
+sleep 0.2
+kill -0 "$wait_pid" 2>/dev/null || {
+    echo "/wait returned before shutdown:"; cat "$workdir/wait.json"; exit 1; }
 
 now_ms() { echo $(($(date +%s%N) / 1000000)); }
 start=$(now_ms)
@@ -90,11 +106,13 @@ pid=
 stop_ms=$(($(now_ms) - start))
 wait "$events_pid" 2>/dev/null || true
 events_pid=
+wait "$wait_pid" 2>/dev/null || true
+wait_pid=
 grep -q "interrupted jobs will resume" "$workdir/log" || { echo "no clean shutdown:"; cat "$workdir/log"; exit 1; }
 if grep -q "http shutdown:" "$workdir/log"; then
-    echo "HTTP shutdown timed out with an events client attached:"; cat "$workdir/log"; exit 1
+    echo "HTTP shutdown timed out with events and wait clients attached:"; cat "$workdir/log"; exit 1
 fi
 [ "$stop_ms" -lt 2000 ] || {
-    echo "sbgpd took ${stop_ms}ms to stop with an events client attached, want under 2000ms"
+    echo "sbgpd took ${stop_ms}ms to stop with events and wait clients attached, want under 2000ms"
     cat "$workdir/log"; exit 1; }
 echo "sbgpd smoke OK ($addr, jobs $id $big, stop ${stop_ms}ms)"

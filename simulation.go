@@ -299,7 +299,7 @@ type JobEvalOptions struct {
 	// Stats, when non-nil, receives the evaluation's planner and
 	// dispatch counters (see ShardStats): how the deployment axis was
 	// scheduled — chain heads, delta edges, predicted volume — and how
-	// the shards and cross-shard handoffs played out.
+	// the shards were dispatched and how many started mid-walk.
 	Stats *ShardStats
 	// Pool recycles per-worker engine state across evaluations sharing
 	// this simulation's (topology, local-preference) pair.
@@ -330,9 +330,10 @@ func (s *Simulation) EvaluateJob(opts JobEvalOptions) (*Result, error) {
 }
 
 // JobShardPlan returns the scenario job's shard layout — the portable
-// identity a coordinator publishes and every worker verifies — plus the
-// chain-aligned dispatch units covering its shard space (leases cut on
-// unit boundaries keep RunDelta chains worker-local). The layout's
+// identity a coordinator publishes and every worker verifies — plus its
+// dispatch units, one ShardRange per shard. No state crosses a shard
+// boundary, so a lease may cover any contiguous run of shards. The
+// layout's
 // fingerprint is the same one EvaluateJob's checkpoint carries, so a
 // coordinator's checkpoint and a single-box checkpoint are the same
 // file format with the same identity.
